@@ -591,7 +591,7 @@ fn rebalance_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 m.task,
                 m.component,
                 m.from.as_str(),
-                m.to.as_str()
+                m.to.node.as_str()
             );
         }
     }

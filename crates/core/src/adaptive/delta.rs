@@ -2,12 +2,11 @@
 
 use crate::adaptive::drift::DriftReport;
 use crate::adaptive::refiner::ProfileRefiner;
-use crate::assignment::Assignment;
 use crate::error::ScheduleError;
 use crate::global_state::{GlobalState, UndoLog};
-use rstorm_cluster::{Cluster, NodeId};
-use rstorm_topology::{TaskId, Topology, TopologyId};
-use std::collections::{BTreeMap, BTreeSet};
+use rstorm_cluster::{Cluster, NodeId, WorkerSlot};
+use rstorm_topology::{ResourceRequest, TaskId, Topology, TopologyId};
+use std::collections::BTreeSet;
 
 /// One task relocation of a migration plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,22 +17,19 @@ pub struct MigrationMove {
     pub component: String,
     /// Where the task ran before the move.
     pub from: NodeId,
-    /// Where the task runs after the move.
-    pub to: NodeId,
+    /// The worker slot the task runs in after the move.
+    pub to: WorkerSlot,
 }
 
-/// The delta scheduler's output: which tasks move where, plus the full
-/// assignment after applying the moves. An empty plan means the live
-/// state was left bit-identical to how it was found.
+/// The delta scheduler's output: which tasks move to which worker
+/// slots. An empty plan means the live state was left bit-identical to
+/// how it was found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationPlan {
     /// The rebalanced topology.
     pub topology: TopologyId,
     /// The moves, in planning order.
     pub moves: Vec<MigrationMove>,
-    /// The assignment after the moves (identical to the input assignment
-    /// when `moves` is empty).
-    pub updated: Assignment,
 }
 
 impl MigrationPlan {
@@ -66,8 +62,10 @@ impl MigrationPlan {
 /// reservation, the target reserves the *refined* one (hard memory
 /// constraint enforced, dead and explicitly forbidden nodes never
 /// considered), and a move that cannot complete rolls back bit-exactly
-/// and is skipped. A clean drift report therefore yields an empty plan
-/// and an untouched state.
+/// and is skipped. A completed move is written straight into the
+/// committed assignment, so a round costs one scan of that assignment
+/// per saturated node plus the moves themselves. A clean drift report
+/// therefore yields an empty plan and an untouched state.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaScheduler;
 
@@ -78,8 +76,9 @@ impl DeltaScheduler {
     }
 
     /// Plans (and bookkeeps) the migration of `topology` on the live
-    /// `state`. `forbidden` nodes are never chosen as targets even when
-    /// the state still believes they are alive — pass the
+    /// `state`, editing its committed assignment in place. `forbidden`
+    /// nodes are never chosen as targets even when the state still
+    /// believes they are alive — pass the
     /// [`RecoveryManager::dead_nodes`](crate::RecoveryManager::dead_nodes)
     /// view here so the adaptive plane composes with the crash-recovery
     /// plane instead of racing it.
@@ -98,16 +97,14 @@ impl DeltaScheduler {
         forbidden: &BTreeSet<NodeId>,
     ) -> Result<MigrationPlan, ScheduleError> {
         let tid = topology.id().clone();
-        let assignment = state
-            .plan()
-            .assignment(tid.as_str())
-            .ok_or_else(|| ScheduleError::NotScheduled(tid.clone()))?
-            .clone();
+        if !state.is_scheduled(tid.as_str()) {
+            return Err(ScheduleError::NotScheduled(tid));
+        }
+        let mut moves: Vec<MigrationMove> = Vec::new();
         if drift.is_clean() || drift.saturated_nodes.is_empty() {
             return Ok(MigrationPlan {
                 topology: tid,
-                moves: Vec::new(),
-                updated: assignment,
+                moves,
             });
         }
 
@@ -119,19 +116,9 @@ impl DeltaScheduler {
             }
         }
 
-        let tname = tid.as_str().to_owned();
+        let tname = tid.as_str();
         let task_set = topology.task_set();
-        let refined_cpu_of = |task: TaskId| -> f64 {
-            let component = &task_set.task(task).expect("task exists").component;
-            let declared = task_set.resources(task).expect("task has resources");
-            refiner
-                .refined_request(&tname, component.as_str(), declared)
-                .cpu_points
-        };
-
-        let mut slots: BTreeMap<_, _> = assignment.iter().map(|(t, s)| (t, s.clone())).collect();
-        let mut plan_log = UndoLog::new();
-        let mut moves: Vec<MigrationMove> = Vec::new();
+        let drifted: BTreeSet<&str> = drift.drifted.iter().map(|d| d.component.as_str()).collect();
 
         for node in &drift.saturated_nodes {
             let Some(i) = index.node_index(node.as_str()) else {
@@ -144,60 +131,43 @@ impl DeltaScheduler {
                 .rack_of(node.as_str())
                 .is_some_and(|r| drift.congested_racks.iter().any(|c| c == r.as_str()));
             let capacity = index.capacity(i).cpu_points;
-            let mut refined_load: f64 = slots
-                .iter()
-                .filter(|(_, slot)| slot.node == *node)
-                .map(|(&task, _)| refined_cpu_of(task))
-                .sum();
-            let mut bw_load: f64 = slots
-                .iter()
-                .filter(|(_, slot)| slot.node == *node)
-                .map(|(&task, _)| {
-                    task_set
-                        .resources(task)
-                        .expect("task has resources")
-                        .bandwidth
-                })
-                .sum();
-            let bw_target = bw_load / 2.0;
 
-            // Candidates: drifted-component tasks on this node — plus, on
-            // a congested rack, any task declaring bandwidth demand —
-            // heaviest refined load first (ties by task id) so saturation
-            // clears in as few moves as possible.
-            let mut candidate_set: BTreeSet<TaskId> = drift
-                .drifted
-                .iter()
-                .flat_map(|d| task_set.tasks_of(&d.component))
-                .filter(|t| slots.get(t).is_some_and(|slot| slot.node == *node))
-                .copied()
-                .collect();
-            if congested {
-                for (&task, slot) in &slots {
-                    if slot.node == *node
-                        && task_set
-                            .resources(task)
-                            .expect("task has resources")
-                            .bandwidth
-                            > 0.0
-                    {
-                        candidate_set.insert(task);
-                    }
+            // One pass over the committed assignment, in task-id order:
+            // the node's refined CPU and declared bandwidth loads, and
+            // its candidates — drifted-component tasks, plus, on a
+            // congested rack, any task declaring bandwidth demand.
+            let mut refined_load = 0.0;
+            let mut bw_load = 0.0;
+            let mut candidates: Vec<(TaskId, &str, ResourceRequest)> = Vec::new();
+            let assignment = state
+                .plan()
+                .assignment(tname)
+                .expect("checked scheduled above");
+            for (task, _) in assignment.iter().filter(|(_, slot)| slot.node == *node) {
+                let component = task_set.task(task).expect("task exists").component.as_str();
+                let declared = task_set.resources(task).expect("task has resources");
+                let refined = refiner.refined_request(tname, component, declared);
+                refined_load += refined.cpu_points;
+                bw_load += declared.bandwidth;
+                if drifted.contains(component) || (congested && declared.bandwidth > 0.0) {
+                    candidates.push((task, component, refined));
                 }
             }
-            let mut candidates: Vec<(TaskId, f64)> = candidate_set
-                .into_iter()
-                .map(|t| (t, refined_cpu_of(t)))
-                .collect();
-            candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            let bw_target = bw_load / 2.0;
+            // Heaviest refined load first (ties by task id) so saturation
+            // clears in as few moves as possible.
+            candidates.sort_by(|a, b| {
+                b.2.cpu_points
+                    .partial_cmp(&a.2.cpu_points)
+                    .unwrap()
+                    .then(a.0.cmp(&b.0))
+            });
 
-            for (task, refined_cpu) in candidates {
+            for (task, component, refined) in candidates {
                 if refined_load <= capacity && (!congested || bw_load <= bw_target) {
                     break; // node fits again: minimal moves achieved
                 }
                 let declared = *task_set.resources(task).expect("task has resources");
-                let component = task_set.task(task).expect("task exists").component.clone();
-                let refined = refiner.refined_request(&tname, component.as_str(), &declared);
                 let Some(target) = pick_target(state, &saturated, forbidden, i, &refined) else {
                     continue;
                 };
@@ -223,33 +193,21 @@ impl DeltaScheduler {
                         continue;
                     }
                 };
-                plan_log.absorb(step);
-                slots.insert(task, slot);
+                state.set_slot(tname, task, slot.clone());
                 moves.push(MigrationMove {
                     task,
-                    component: component.as_str().to_owned(),
+                    component: component.to_owned(),
                     from: node.clone(),
-                    to: target,
+                    to: slot,
                 });
-                refined_load -= refined_cpu;
+                refined_load -= refined.cpu_points;
                 bw_load -= declared.bandwidth;
             }
         }
 
-        if moves.is_empty() {
-            debug_assert!(plan_log.is_empty());
-            return Ok(MigrationPlan {
-                topology: tid,
-                moves,
-                updated: assignment,
-            });
-        }
-        let updated = Assignment::with_unplaced(tid.clone(), slots, assignment.unplaced().clone());
-        state.commit(updated.clone());
         Ok(MigrationPlan {
             topology: tid,
             moves,
-            updated,
         })
     }
 }
@@ -265,7 +223,7 @@ fn pick_target(
     saturated: &[bool],
     forbidden: &BTreeSet<NodeId>,
     from: u32,
-    refined: &rstorm_topology::ResourceRequest,
+    refined: &ResourceRequest,
 ) -> Option<NodeId> {
     let index = state.cluster_index();
     let remaining = state.remaining_dense();
@@ -294,11 +252,13 @@ fn pick_target(
 mod tests {
     use super::*;
     use crate::adaptive::drift::{DriftConfig, DriftDetector};
+    use crate::assignment::Assignment;
     use crate::rstorm::RStormScheduler;
     use crate::scheduler::Scheduler;
     use crate::verify::verify_plan;
     use rstorm_cluster::{Cluster, ClusterBuilder, ResourceCapacity};
     use rstorm_topology::TopologyBuilder;
+    use std::collections::BTreeMap;
 
     /// Two racks of three 100-point nodes.
     fn cluster() -> Cluster {
@@ -366,14 +326,14 @@ mod tests {
         // Refined load on the hot node was 4×60 (+ colocated spout/sink);
         // shedding until it fits 100 points moves 3 workers, not all 4.
         assert_eq!(plan.len(), 3, "minimal moves, not a full reshuffle");
+        let committed = state.plan().assignment("t").unwrap();
         for m in &plan.moves {
             assert_eq!(m.component, "worker");
             assert_eq!(m.from, hot);
-            assert_ne!(m.to, hot);
-            assert_eq!(plan.updated.node_of(m.task), Some(&m.to));
+            assert_ne!(m.to.node, hot);
+            assert_eq!(committed.slot_of(m.task), Some(&m.to));
         }
         // The committed plan stays verifiable against the cluster.
-        assert_eq!(state.plan().assignment("t").unwrap(), &plan.updated);
         assert!(verify_plan(state.plan(), &[&topology], &cluster).is_empty());
     }
 
@@ -398,7 +358,7 @@ mod tests {
             )
             .unwrap();
         assert!(plan.is_empty());
-        assert_eq!(plan.updated, assignment);
+        assert_eq!(state.plan().assignment("t"), Some(&assignment));
         assert_eq!(format!("{state:?}"), before, "empty plan touches nothing");
     }
 
@@ -433,9 +393,9 @@ mod tests {
             .unwrap();
         assert!(!plan.is_empty());
         for m in &plan.moves {
-            assert_ne!(m.to, dead, "dead node must never be a target");
-            assert!(!forbidden.contains(&m.to), "forbidden node chosen");
-            assert_eq!(m.to, allowed);
+            assert_ne!(m.to.node, dead, "dead node must never be a target");
+            assert!(!forbidden.contains(&m.to.node), "forbidden node chosen");
+            assert_eq!(m.to.node, allowed);
         }
     }
 
@@ -479,7 +439,7 @@ mod tests {
             .unwrap();
         assert!(!plan.is_empty(), "congestion alone must trigger relief");
         for m in &plan.moves {
-            let to_rack = cluster.rack_of(m.to.as_str()).unwrap();
+            let to_rack = cluster.rack_of(m.to.node.as_str()).unwrap();
             assert_ne!(to_rack, &hot_rack, "target must leave the congested rack");
             let bw = topology
                 .component(&m.component)

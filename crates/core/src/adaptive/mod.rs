@@ -23,7 +23,9 @@
 //!   load fits its capacity, and every move is bookkept atomically
 //!   through the existing [`UndoLog`](crate::UndoLog) machinery — a
 //!   failed move rolls back bit-exactly, and zero drift yields an empty
-//!   plan that leaves the state untouched.
+//!   plan that leaves the state untouched. Moves are written into the
+//!   committed assignment in place; the plan lists them, each with its
+//!   destination worker slot.
 //!
 //! The simulator executes the resulting plan with an explicit
 //! pause/drain/restore cost per moved task, so rebalance gains are

@@ -146,6 +146,21 @@ impl SchedulingPlan {
         self.assignments.get(topology)
     }
 
+    /// Moves an already placed task of `topology` to `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topology` is not scheduled or `task` is not placed.
+    pub(crate) fn set_slot(&mut self, topology: &str, task: TaskId, slot: WorkerSlot) {
+        *self
+            .assignments
+            .get_mut(topology)
+            .unwrap_or_else(|| panic!("topology `{topology}` is not scheduled"))
+            .slots
+            .get_mut(&task)
+            .unwrap_or_else(|| panic!("task {task} of `{topology}` is not placed")) = slot;
+    }
+
     /// Iterates assignments in topology-id order.
     pub fn iter(&self) -> impl Iterator<Item = &Assignment> {
         self.assignments.values()

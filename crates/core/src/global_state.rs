@@ -28,7 +28,7 @@
 use crate::assignment::{Assignment, SchedulingPlan};
 use crate::error::ScheduleError;
 use rstorm_cluster::{Cluster, ClusterIndex, NodeId, WorkerSlot};
-use rstorm_topology::{ResourceRequest, Topology, TopologyId};
+use rstorm_topology::{ResourceRequest, TaskId, Topology, TopologyId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -95,15 +95,6 @@ impl UndoLog {
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Appends every entry of `other` (preserving order) so several
-    /// per-step logs can be merged into one atomic unit: the delta
-    /// scheduler validates each task move against its own small log,
-    /// then absorbs it into the plan-wide log that guards the whole
-    /// migration.
-    pub fn absorb(&mut self, mut other: UndoLog) {
-        self.entries.append(&mut other.entries);
     }
 }
 
@@ -539,6 +530,13 @@ impl GlobalState {
         self.plan.insert(assignment);
     }
 
+    /// Moves one already placed task of a committed assignment to
+    /// `slot`, leaving the reservations to the caller (the delta
+    /// scheduler edits the plan in place instead of recommitting it).
+    pub(crate) fn set_slot(&mut self, topology: &str, task: TaskId, slot: WorkerSlot) {
+        self.plan.set_slot(topology, task, slot);
+    }
+
     /// True if `topology` currently has an assignment.
     pub fn is_scheduled(&self, topology: &str) -> bool {
         self.plan.assignment(topology).is_some()
@@ -697,7 +695,6 @@ impl AddAssign for ResourceRequest {
 mod tests {
     use super::*;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
-    use rstorm_topology::TaskId;
 
     fn cluster() -> Cluster {
         ClusterBuilder::new()
@@ -882,18 +879,16 @@ mod tests {
         let before = format!("{s:?}");
         let before_fp = fingerprint(&s);
 
-        // Move one of the two reservations to the other node, merging the
-        // per-step logs the way the delta scheduler does.
-        let mut plan_log = UndoLog::new();
+        // Move one of the two reservations to the other node under one
+        // log, the way the delta scheduler moves a task.
         let mut step = UndoLog::new();
         s.unreserve_logged(&t, &n0, &req, &mut step).unwrap();
         s.reserve_logged(&t, &n1, &req, &mut step).unwrap();
-        plan_log.absorb(step);
-        assert_eq!(plan_log.len(), 4);
+        assert_eq!(step.len(), 4);
         assert_eq!(s.remaining("rack-0-node-0").unwrap().cpu_points, 70.0);
         assert_eq!(s.remaining("rack-0-node-1").unwrap().cpu_points, 70.0);
 
-        s.rollback(plan_log);
+        s.rollback(step);
         assert_eq!(fingerprint(&s), before_fp, "bits restored exactly");
         assert_eq!(format!("{s:?}"), before, "all bookkeeping restored");
 

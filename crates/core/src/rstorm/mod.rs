@@ -87,7 +87,7 @@ impl Scheduler for RStormScheduler {
         }
 
         let task_set = topology.task_set();
-        let ordering = task_selection::task_ordering(topology, &task_set, self.config.traversal);
+        let ordering = task_selection::task_ordering(topology, task_set, self.config.traversal);
 
         // Mutate the live state, journaling every change so a failed
         // scheduling can be rolled back bit-exactly (atomic commit,
@@ -178,7 +178,7 @@ impl Scheduler for ReferenceRStormScheduler {
         }
 
         let task_set = topology.task_set();
-        let ordering = task_selection::task_ordering(topology, &task_set, self.config.traversal);
+        let ordering = task_selection::task_ordering(topology, task_set, self.config.traversal);
 
         // Work on a scratch copy so a failed scheduling leaves `state`
         // untouched (atomic commit, §4.1).

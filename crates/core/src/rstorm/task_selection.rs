@@ -63,7 +63,7 @@ mod tests {
     fn round_robin_interleaves_components() {
         let t = linear3();
         let ts = t.task_set();
-        let order = task_ordering(&t, &ts, TraversalOrder::Bfs);
+        let order = task_ordering(&t, ts, TraversalOrder::Bfs);
         let names: Vec<String> = order
             .iter()
             .map(|id| ts.task(*id).unwrap().component.as_str().to_owned())
@@ -76,7 +76,7 @@ mod tests {
     fn all_tasks_exactly_once() {
         let t = linear3();
         let ts = t.task_set();
-        let order = task_ordering(&t, &ts, TraversalOrder::Bfs);
+        let order = task_ordering(&t, ts, TraversalOrder::Bfs);
         assert_eq!(order.len(), ts.len());
         let mut sorted: Vec<u32> = order.iter().map(|t| t.as_u32()).collect();
         sorted.sort_unstable();
@@ -90,7 +90,7 @@ mod tests {
         b.set_bolt("fat", 4).shuffle_grouping("s");
         let t = b.build().unwrap();
         let ts = t.task_set();
-        let order = task_ordering(&t, &ts, TraversalOrder::Bfs);
+        let order = task_ordering(&t, ts, TraversalOrder::Bfs);
         let names: Vec<String> = order
             .iter()
             .map(|id| ts.task(*id).unwrap().component.as_str().to_owned())
@@ -112,7 +112,7 @@ mod tests {
             .shuffle_grouping("right");
         let t = b.build().unwrap();
         let ts = t.task_set();
-        let order = task_ordering(&t, &ts, TraversalOrder::Bfs);
+        let order = task_ordering(&t, ts, TraversalOrder::Bfs);
         // Sweeps of 4: positions 0..4 are src,left,right,join etc.
         for sweep in 0..3 {
             let window: Vec<String> = order[sweep * 4..(sweep + 1) * 4]
@@ -127,7 +127,7 @@ mod tests {
     fn declaration_traversal_is_supported() {
         let t = linear3();
         let ts = t.task_set();
-        let order = task_ordering(&t, &ts, TraversalOrder::Declaration);
+        let order = task_ordering(&t, ts, TraversalOrder::Declaration);
         assert_eq!(order.len(), 6);
     }
 }

@@ -200,7 +200,7 @@ impl Scheduler for ExhaustiveScheduler {
 
         // Order tasks as R-Storm does: adjacent components adjacent in
         // the order, which makes the edge-based bound tighten early.
-        let order = task_selection::task_ordering(topology, &task_set, TraversalOrder::Bfs);
+        let order = task_selection::task_ordering(topology, task_set, TraversalOrder::Bfs);
         let position: HashMap<TaskId, usize> =
             order.iter().enumerate().map(|(i, &t)| (t, i)).collect();
 

@@ -53,8 +53,7 @@ impl Scheduler for OfflineLinearizationScheduler {
         let task_set = topology.task_set();
         // BFS is a valid linearization for DAGs and also terminates on
         // cyclic graphs, where the original algorithm does not apply.
-        let ordering =
-            task_selection::task_ordering(&topology.clone(), &task_set, TraversalOrder::Bfs);
+        let ordering = task_selection::task_ordering(topology, task_set, TraversalOrder::Bfs);
 
         // Contiguous equal chunks: adjacent tasks in the linearization
         // share a node, so communicating components tend to be colocated.

@@ -354,13 +354,12 @@ fn full_reschedule_plan(
             task,
             component,
             from,
-            to: slot.node.clone(),
+            to: slot.clone(),
         });
     }
     Ok(MigrationPlan {
         topology: topology.id().clone(),
         moves,
-        updated: assignment,
     })
 }
 
@@ -611,5 +610,12 @@ mod tests {
         // Graph structure carried over: same consumers, same sinks.
         assert_eq!(t.consumers("feed").len(), refined.consumers("feed").len());
         assert_eq!(t.sinks().count(), refined.sinks().count());
+        // The clone caches its own task set, carrying the refined CPU.
+        let declared = t.task_set();
+        let tasks = refined.task_set();
+        assert!(!std::ptr::eq(declared, tasks));
+        let first_crunch = tasks.tasks_of("crunch")[0];
+        assert_eq!(tasks.resources(first_crunch).unwrap().cpu_points, 90.0);
+        assert_eq!(declared.resources(first_crunch).unwrap().cpu_points, 5.0);
     }
 }

@@ -312,10 +312,15 @@ impl Simulation {
     }
 
     /// Schedules a live migration: at `at_ms`, every task in `plan.moves`
-    /// relocates to its slot in `plan.updated`, paying a
+    /// relocates to the destination slot its move carries, paying a
     /// pause/drain/restore cost — the batch in service drains on the old
     /// node, carried queue contents and all future batches wait out a
-    /// `pause_ms` service freeze on the destination.
+    /// `pause_ms` service freeze on the destination. Moves apply in plan
+    /// order, so a task listed twice ends on its last move's slot.
+    /// A [`DeltaScheduler`](rstorm_core::DeltaScheduler) plan carries the
+    /// very slots the planner wrote into its committed assignment in
+    /// place, so the engine and the scheduling state agree after the
+    /// cut-over; scheduling the plan costs O(moves).
     ///
     /// An empty plan schedules nothing, keeping the run bit-identical to
     /// an untouched one. Names are resolved when the simulation runs;
@@ -324,8 +329,7 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the times are negative or non-finite, or if the plan
-    /// omits the destination slot of a moved task.
+    /// Panics if the times are negative or non-finite.
     pub fn schedule_migration(&mut self, plan: &MigrationPlan, at_ms: f64, pause_ms: f64) {
         assert!(
             at_ms.is_finite() && at_ms >= 0.0 && pause_ms.is_finite() && pause_ms >= 0.0,
@@ -337,14 +341,7 @@ impl Simulation {
         let moves = plan
             .moves
             .iter()
-            .map(|m| {
-                let slot = plan
-                    .updated
-                    .slot_of(m.task)
-                    .unwrap_or_else(|| panic!("migration plan does not place {}", m.task))
-                    .clone();
-                (m.task.index() as u32, slot)
-            })
+            .map(|m| (m.task.index() as u32, m.to.clone()))
             .collect();
         self.migrations.push(PendingMigration {
             topology: plan.topology.as_str().to_owned(),
@@ -2393,11 +2390,6 @@ mod tests {
             .expect("an idle node exists");
         let moved: Vec<rstorm_topology::TaskId> = a.tasks_on_node(&from);
         assert!(!moved.is_empty());
-        let mut slots: std::collections::BTreeMap<_, _> =
-            a.iter().map(|(task, slot)| (task, slot.clone())).collect();
-        for &task in &moved {
-            slots.insert(task, WorkerSlot::new(dest.as_str(), 6700));
-        }
         let plan = MigrationPlan {
             topology: t.id().clone(),
             moves: moved
@@ -2406,10 +2398,9 @@ mod tests {
                     task,
                     component: "c".to_owned(),
                     from: rstorm_cluster::NodeId::new(from.as_str()),
-                    to: rstorm_cluster::NodeId::new(dest.as_str()),
+                    to: WorkerSlot::new(dest.as_str(), 6700),
                 })
                 .collect(),
-            updated: Assignment::new(t.id().clone(), slots),
         };
 
         let run = |plan: &MigrationPlan| {
@@ -2450,7 +2441,6 @@ mod tests {
         let empty = MigrationPlan {
             topology: t.id().clone(),
             moves: Vec::new(),
-            updated: Assignment::new(t.id().clone(), std::collections::BTreeMap::new()),
         };
         let mut sim = Simulation::new(cluster.clone(), SimConfig::quick());
         sim.add_topology(&t, &a);
@@ -2481,11 +2471,6 @@ mod tests {
             .expect("an idle node exists");
         let moved: Vec<rstorm_topology::TaskId> = a.tasks_on_node(&from);
         assert!(moved.len() >= 2, "need several moves to permute");
-        let mut slots: std::collections::BTreeMap<_, _> =
-            a.iter().map(|(task, slot)| (task, slot.clone())).collect();
-        for &task in &moved {
-            slots.insert(task, WorkerSlot::new(dest.as_str(), 6700));
-        }
         let plan_with = |order: Vec<rstorm_topology::TaskId>| MigrationPlan {
             topology: t.id().clone(),
             moves: order
@@ -2494,10 +2479,9 @@ mod tests {
                     task,
                     component: "c".to_owned(),
                     from: rstorm_cluster::NodeId::new(from.as_str()),
-                    to: rstorm_cluster::NodeId::new(dest.as_str()),
+                    to: WorkerSlot::new(dest.as_str(), 6700),
                 })
                 .collect(),
-            updated: Assignment::new(t.id().clone(), slots.clone()),
         };
         let forward = plan_with(moved.clone());
         let reversed = plan_with(moved.iter().rev().copied().collect());
@@ -2543,11 +2527,6 @@ mod tests {
             })
             .expect("an idle node exists");
         let moved: Vec<rstorm_topology::TaskId> = a.tasks_on_node(&from);
-        let mut slots: std::collections::BTreeMap<_, _> =
-            a.iter().map(|(task, slot)| (task, slot.clone())).collect();
-        for &task in &moved {
-            slots.insert(task, WorkerSlot::new(dest.as_str(), 6700));
-        }
         let plan = MigrationPlan {
             topology: t.id().clone(),
             moves: moved
@@ -2556,10 +2535,9 @@ mod tests {
                     task,
                     component: "c".to_owned(),
                     from: rstorm_cluster::NodeId::new(from.as_str()),
-                    to: rstorm_cluster::NodeId::new(dest.as_str()),
+                    to: WorkerSlot::new(dest.as_str(), 6700),
                 })
                 .collect(),
-            updated: Assignment::new(t.id().clone(), slots),
         };
         let faults = FaultPlan::new()
             .crash_node(40_000.0, dest.as_str())

@@ -36,7 +36,7 @@ impl fmt::Display for Task {
 
 /// The full set of tasks instantiated from a topology, with dense ids in
 /// component declaration order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<Task>,
     by_component: HashMap<ComponentId, Vec<TaskId>>,
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn dense_ids_in_declaration_order() {
-        let ts = topology().task_set();
+        let ts = TaskSet::instantiate(&topology());
         assert_eq!(ts.len(), 9);
         assert!(!ts.is_empty());
         let ids: Vec<u32> = ts.tasks().iter().map(|t| t.id.as_u32()).collect();
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn instances_are_zero_based_per_component() {
-        let ts = topology().task_set();
+        let ts = TaskSet::instantiate(&topology());
         let b2_instances: Vec<u32> = ts
             .tasks()
             .iter()
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn per_task_resources_come_from_component() {
-        let ts = topology().task_set();
+        let ts = TaskSet::instantiate(&topology());
         assert_eq!(ts.resources(TaskId(0)).unwrap().cpu_points, 30.0);
         assert_eq!(
             ts.resources(TaskId(3)).unwrap().cpu_points,
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn one_task_per_executor_by_default() {
-        let ts = topology().task_set();
+        let ts = TaskSet::instantiate(&topology());
         let es = ExecutorSet::group(&ts, 1);
         assert_eq!(es.len(), 9);
         assert!(es.executors().iter().all(|e| e.tasks.len() == 1));
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn executors_never_mix_components() {
-        let ts = topology().task_set();
+        let ts = TaskSet::instantiate(&topology());
         let es = ExecutorSet::group(&ts, 2);
         // s: 3 tasks -> 2 executors; b1: 2 -> 1; b2: 4 -> 2. Total 5.
         assert_eq!(es.len(), 5);
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn task_display() {
-        let ts = topology().task_set();
+        let ts = TaskSet::instantiate(&topology());
         assert_eq!(ts.task(TaskId(3)).unwrap().to_string(), "b1[0]#3");
     }
 }

@@ -6,6 +6,8 @@ use crate::ids::{ComponentId, StreamId, TopologyId};
 use crate::resource::ResourceRequest;
 use crate::task::TaskSet;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A validated Storm-style topology: a directed graph of spouts and bolts.
 ///
@@ -17,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 /// Unlike some prior schedulers (e.g. the offline scheduler of Aniello et
 /// al., which the paper notes is limited to acyclic topologies), cycles
 /// among bolts are *allowed* — R-Storm handles them, and so do we.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Topology {
     id: TopologyId,
     components: Vec<Component>,
@@ -29,6 +31,25 @@ pub struct Topology {
     downstream: HashMap<ComponentId, Vec<(ComponentId, InputDeclaration)>>,
     /// Streams each component declares (always contains `"default"`).
     declared_streams: HashMap<ComponentId, HashSet<StreamId>>,
+    /// The task set, instantiated on first use. A `Topology` has no
+    /// `&mut self` methods, so the cache can never go stale.
+    task_set: OnceLock<TaskSet>,
+}
+
+/// Prints everything but the task-set cache, so the output does not
+/// depend on whether [`Topology::task_set`] has been called yet.
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("id", &self.id)
+            .field("components", &self.components)
+            .field("num_workers", &self.num_workers)
+            .field("max_spout_pending", &self.max_spout_pending)
+            .field("index", &self.index)
+            .field("downstream", &self.downstream)
+            .field("declared_streams", &self.declared_streams)
+            .finish()
+    }
 }
 
 impl Topology {
@@ -95,6 +116,7 @@ impl Topology {
             index,
             downstream,
             declared_streams,
+            task_set: OnceLock::new(),
         })
     }
 
@@ -214,10 +236,11 @@ impl Topology {
             .fold(ResourceRequest::zero(), |acc, r| acc.saturating_add(&r))
     }
 
-    /// Instantiates the task set for this topology (dense task ids in
-    /// component declaration order).
-    pub fn task_set(&self) -> TaskSet {
-        TaskSet::instantiate(self)
+    /// The task set of this topology (dense task ids in component
+    /// declaration order), instantiated on the first call and shared by
+    /// every later one.
+    pub fn task_set(&self) -> &TaskSet {
+        self.task_set.get_or_init(|| TaskSet::instantiate(self))
     }
 
     /// Returns true if the component graph (directed) contains a cycle.
@@ -309,6 +332,20 @@ mod tests {
         let r = t.total_resources();
         assert_eq!(r.cpu_points, 7.0 * ResourceRequest::DEFAULT_CPU_POINTS);
         assert_eq!(r.memory_mb, 7.0 * ResourceRequest::DEFAULT_MEMORY_MB);
+    }
+
+    #[test]
+    fn task_set_is_built_once_and_survives_clone() {
+        let t = diamond();
+        let debug_before = format!("{t:?}");
+        let first = t.task_set();
+        assert!(std::ptr::eq(first, t.task_set()), "cached, not rebuilt");
+        assert_eq!(first.len(), 7);
+        let cloned = t.clone();
+        assert_eq!(cloned.task_set(), first);
+        assert_eq!(cloned.task_set(), &TaskSet::instantiate(&t));
+        // Debug output does not depend on whether the cache is filled.
+        assert_eq!(format!("{t:?}"), debug_before);
     }
 
     #[test]

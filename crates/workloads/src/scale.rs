@@ -265,7 +265,7 @@ mod tests {
         for plan in &plans {
             for m in &plan.moves {
                 assert_eq!(where_is.get(&m.task), Some(&m.from), "stale source");
-                where_is.insert(m.task, m.to.clone());
+                where_is.insert(m.task, m.to.node.clone());
             }
         }
     }

@@ -200,11 +200,12 @@ fn adaptive_rebalance_never_targets_a_dead_node() {
     assert!(!plan.is_empty(), "the saturated host sheds tasks");
     for m in &plan.moves {
         assert!(
-            !forbidden.contains(&m.to),
+            !forbidden.contains(&m.to.node),
             "move {m:?} targets the dead node {victim}"
         );
     }
-    for (task, slot) in plan.updated.iter() {
+    let committed = state.plan().assignment(topology.id().as_str()).unwrap();
+    for (task, slot) in committed.iter() {
         assert!(
             slot.node.as_str() != victim,
             "task {task} placed on the dead node {victim}"

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rstorm::cluster::config::StormConfig;
 use rstorm::prelude::*;
 use rstorm::scheduler::rstorm::task_selection;
-use rstorm::topology::{bfs_component_order, ResourceRequest};
+use rstorm::topology::{bfs_component_order, ResourceRequest, TaskId};
 
 // ---------- generators ----------------------------------------------------
 
@@ -197,7 +197,7 @@ proptest! {
         ],
     ) {
         let task_set = topology.task_set();
-        let order = task_selection::task_ordering(&topology, &task_set, strategy);
+        let order = task_selection::task_ordering(&topology, task_set, strategy);
         prop_assert_eq!(order.len(), task_set.len());
         let mut ids: Vec<u32> = order.iter().map(|t| t.as_u32()).collect();
         ids.sort_unstable();
@@ -512,6 +512,130 @@ proptest! {
     }
 }
 
+// ---------- in-place migration planning ------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The delta scheduler edits the committed assignment in place, and
+    /// its plan is the whole record of that edit: after planning on a
+    /// random drift (per-component CPU ratios, saturated nodes, an
+    /// optionally congested rack and forbidden nodes), the committed
+    /// assignment is the pre-plan one with exactly each move's `to` slot
+    /// applied in order, it still verifies, and an empty plan leaves the
+    /// plan bit-identical.
+    #[test]
+    fn delta_plan_moves_are_exactly_the_committed_edit(
+        topology in arb_topology(),
+        ratios in proptest::collection::vec(0.5f64..10.0, 7..8),
+        hot_mask in 0u32..64,
+        forbidden_mask in 0u32..64,
+        congested_rack in 0usize..3,
+    ) {
+        let cluster = ClusterBuilder::new()
+            .homogeneous_racks(2, 3, ResourceCapacity::new(400.0, 8192.0, 100.0), 4)
+            .build()
+            .unwrap();
+        let mut state = GlobalState::new(&cluster);
+        let Ok(assignment) =
+            RStormScheduler::new().schedule(&topology, &cluster, &mut state)
+        else {
+            return Ok(());
+        };
+
+        let mut refiner = ProfileRefiner::new(1.0);
+        for (c, ratio) in topology.components().iter().zip(&ratios) {
+            let declared = c.resources().cpu_points;
+            refiner.observe("prop", c.id().as_str(), declared, declared * ratio);
+        }
+        let nodes: Vec<String> = cluster
+            .nodes()
+            .iter()
+            .map(|n| n.id().as_str().to_owned())
+            .collect();
+        // Only nodes hosting tasks can run hot.
+        let used = assignment.used_nodes();
+        let utils: Vec<(String, f64)> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let hot = hot_mask >> i & 1 == 1 && used.iter().any(|u| u.as_str() == n);
+                (n.clone(), if hot { 1.0 } else { 0.1 })
+            })
+            .collect();
+        let trunks: Vec<(String, f64)> = cluster
+            .racks()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.as_str().to_owned(), if i == congested_rack { 0.99 } else { 0.1 }))
+            .collect();
+        let drift = DriftDetector::default()
+            .detect_with_network(&topology, &refiner, &utils, &trunks, &cluster);
+        let forbidden: std::collections::BTreeSet<rstorm::cluster::NodeId> = nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| forbidden_mask >> i & 1 == 1)
+            .map(|(_, n)| rstorm::cluster::NodeId::new(n.as_str()))
+            .collect();
+
+        let before = state.plan().clone();
+        let plan = DeltaScheduler::new()
+            .plan(&topology, &cluster, &mut state, &drift, &refiner, &forbidden)
+            .unwrap();
+
+        let mut expected: std::collections::BTreeMap<_, _> =
+            assignment.iter().map(|(t, s)| (t, s.clone())).collect();
+        for m in &plan.moves {
+            prop_assert!(!forbidden.contains(&m.to.node), "forbidden target in {:?}", m);
+            let from = expected.insert(m.task, m.to.clone()).expect("moved task was placed");
+            prop_assert_eq!(&from.node, &m.from);
+        }
+        let committed = state.plan().assignment("prop").unwrap();
+        let actual: std::collections::BTreeMap<_, _> =
+            committed.iter().map(|(t, s)| (t, s.clone())).collect();
+        prop_assert_eq!(actual, expected);
+        prop_assert_eq!(committed.unplaced(), assignment.unplaced());
+        prop_assert!(verify_plan(state.plan(), &[&topology], &cluster).is_empty());
+        if plan.is_empty() {
+            prop_assert_eq!(state.plan(), &before);
+        }
+    }
+}
+
+/// A migration plan relocating each picked task to port 6700 of the
+/// picked node. A task picked several times gets one move per pick, each
+/// to its *last* picked slot, so the task never passes through a node it
+/// does not end on (an intermediate node may be down at cut-over).
+fn scatter_plan<'a>(
+    topology: &Topology,
+    assignment: &Assignment,
+    picks: impl Iterator<Item = (TaskId, &'a str)>,
+) -> MigrationPlan {
+    let picks: Vec<(TaskId, &str)> = picks.collect();
+    let last: std::collections::BTreeMap<TaskId, &str> = picks.iter().copied().collect();
+    let mut nodes: std::collections::BTreeMap<_, _> = assignment
+        .iter()
+        .map(|(t, s)| (t, s.node.clone()))
+        .collect();
+    let moves = picks
+        .iter()
+        .map(|&(task, _)| {
+            let to = WorkerSlot::new(last[&task], 6700);
+            let from = nodes.insert(task, to.node.clone()).expect("placed");
+            MigrationMove {
+                task,
+                component: "c".to_owned(),
+                from,
+                to,
+            }
+        })
+        .collect();
+    MigrationPlan {
+        topology: topology.id().clone(),
+        moves,
+    }
+}
+
 // ---------- simulator conservation (fewer, heavier cases) -------------------
 
 proptest! {
@@ -681,25 +805,11 @@ proptest! {
                 .map(|&(t, n)| (t % tasks.len(), n % nodes.len()))
                 .collect()
         };
-        let mut slots: std::collections::BTreeMap<_, _> =
-            assignment.iter().map(|(t, s)| (t, s.clone())).collect();
-        let mut moves = Vec::new();
-        for &(ti, ni) in &picked {
-            let task = tasks[ti];
-            let old = slots[&task].node.clone();
-            slots.insert(task, WorkerSlot::new(nodes[ni].as_str(), 6700));
-            moves.push(MigrationMove {
-                task,
-                component: "c".to_owned(),
-                from: old,
-                to: rstorm::cluster::NodeId::new(nodes[ni].as_str()),
-            });
-        }
-        let plan = MigrationPlan {
-            topology: topology.id().clone(),
-            moves,
-            updated: Assignment::new(topology.id().clone(), slots),
-        };
+        let plan = scatter_plan(
+            &topology,
+            &assignment,
+            picked.iter().map(|&(ti, ni)| (tasks[ti], nodes[ni].as_str())),
+        );
         let run = |incremental: bool| {
             let config = SimConfig::quick()
                 .with_sim_time_ms(8_000.0)
@@ -758,26 +868,13 @@ proptest! {
             .collect();
 
         // A random scatter of task relocations, as in the routing property.
-        let mut slots: std::collections::BTreeMap<_, _> =
-            assignment.iter().map(|(t, s)| (t, s.clone())).collect();
-        let mut moves = Vec::new();
-        for &(t, n) in &raw_moves {
-            let task = tasks[t % tasks.len()];
-            let node = &nodes[n % nodes.len()];
-            let old = slots[&task].node.clone();
-            slots.insert(task, WorkerSlot::new(node.as_str(), 6700));
-            moves.push(MigrationMove {
-                task,
-                component: "c".to_owned(),
-                from: old,
-                to: rstorm::cluster::NodeId::new(node.as_str()),
-            });
-        }
-        let plan = MigrationPlan {
-            topology: topology.id().clone(),
-            moves,
-            updated: Assignment::new(topology.id().clone(), slots),
-        };
+        let plan = scatter_plan(
+            &topology,
+            &assignment,
+            raw_moves
+                .iter()
+                .map(|&(t, n)| (tasks[t % tasks.len()], nodes[n % nodes.len()].as_str())),
+        );
 
         // A random fault plan on the 500 ms grid inside the 8 s horizon.
         let mut faults = FaultPlan::new();
