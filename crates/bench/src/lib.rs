@@ -12,11 +12,16 @@
 //! | `fig13` | Fig 13 | multi-topology throughput on 24 nodes |
 //! | `ablation` | (ours) | task-ordering / distance-term ablations |
 //!
-//! Run e.g. `cargo run --release -p rstorm-bench --bin fig8`. Every binary
-//! accepts `--quick` for a shortened simulation (CI-friendly) and prints
-//! the same series the paper plots plus a paper-vs-measured summary line.
-//! Criterion benches (`cargo bench -p rstorm-bench`) cover scheduling
-//! latency (§3's "snappy" requirement) and simulator event throughput.
+//! Run e.g. `cargo run --release -p rstorm-bench --bin fig8`. Every figure
+//! binary accepts `--quick` for a shortened simulation (CI-friendly) and
+//! prints the same series the paper plots plus a paper-vs-measured
+//! summary line.
+//!
+//! The `bench` binary is the gated benchmark: `bench [CASE...]` runs the
+//! registered cases — scheduling latency (§3's "snappy" requirement),
+//! simulator wall time and one case per opt-in plane — writes one
+//! `BENCH_<case>.json` each and gates every row against the pin table in
+//! [`harness`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

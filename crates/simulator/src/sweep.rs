@@ -712,9 +712,9 @@ pub struct SweepGroup {
 }
 
 impl SweepGroup {
-    /// Renders the group as one JSON object line, the shape `bench_guard`
-    /// scans: `zero_loss_ratio` appears only on survivable groups, where
-    /// it is pinned to exactly 1.0. Floats use shortest-roundtrip
+    /// Renders the group as one JSON object line: `zero_loss_ratio`
+    /// appears only on survivable groups, where the `bench` gate pins it
+    /// to exactly 1.0. Floats use shortest-roundtrip
     /// formatting, so the line is byte-deterministic.
     pub fn json_line(&self) -> String {
         let mut out = String::new();

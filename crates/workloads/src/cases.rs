@@ -1,6 +1,6 @@
-//! Named (topology, cluster) benchmark cases, shared by the sim
-//! benchmark harnesses, the parity tests and the criterion benches so
-//! they all measure the same workloads.
+//! Named (topology, cluster) benchmark cases, shared by the `bench`
+//! binary, the parity tests and the end-to-end benchmark so they all
+//! measure the same workloads.
 
 use crate::{clusters, drifted, micro, yahoo};
 use rstorm_cluster::Cluster;
@@ -58,7 +58,7 @@ pub fn yahoo_cases() -> Vec<WorkloadCase> {
 }
 
 /// The drifted-declaration cases exercised by the adaptive rebalance
-/// plane (and its `adaptive_smoke` benchmark) on the micro cluster.
+/// plane (and its `bench adaptive` case) on the micro cluster.
 pub fn drifted_cases() -> Vec<WorkloadCase> {
     vec![
         WorkloadCase {

@@ -8,7 +8,7 @@
 //! scenarios a root would need more than eight failures to be
 //! quarantined, which the crash/heal timing cannot produce, so
 //! `zero_loss_ratio == 1.0` is a hard correctness gate on every
-//! survivable group (and `bench_guard` pins it).
+//! survivable group (and the `bench` gate pins it).
 
 use crate::{cases, clusters, micro, yahoo};
 use rstorm_sim::{FaultSpec, SeedRange, SimConfig, SweepCase, SweepGrid};
