@@ -58,3 +58,51 @@ fn linear_net_quick_report_is_stable() {
     let report = sim.run();
     check_golden("linear_net_quick", &report.to_json());
 }
+
+/// Pins the migration path: a small scale chain under synthetic churn,
+/// so every cut-over's placement change and routing refresh is part of
+/// the pinned report.
+#[test]
+fn scale_churn_report_is_stable() {
+    use rstorm::workloads::scale::{churn_plans, scale_cluster, scale_topology, schedule_churn};
+    const HORIZON_MS: f64 = 20_000.0;
+    let topology = scale_topology(400);
+    let cluster = scale_cluster(40);
+    let (assignment, plans) = churn_plans(&topology, &cluster, 10);
+    assert!(!plans.is_empty(), "the churn pin must migrate tasks");
+    let mut sim = Simulation::new(cluster, SimConfig::default().with_sim_time_ms(HORIZON_MS));
+    sim.add_topology(&topology, &assignment);
+    schedule_churn(&mut sim, &plans, HORIZON_MS);
+    let report = sim.run();
+    check_golden("scale_churn", &report.to_json());
+}
+
+/// Pins the fair-share fabric under faults: an even (rack-spreading)
+/// linear_net schedule on `NetworkModel::Fair`, with one rack
+/// partitioned and, later, every link degraded.
+#[test]
+fn linear_net_fair_faults_report_is_stable() {
+    let case = fig8_cases()
+        .into_iter()
+        .find(|c| c.name == "linear_net")
+        .expect("linear_net case exists");
+    let assignment = EvenScheduler::new()
+        .schedule(
+            &case.topology,
+            &case.cluster,
+            &mut GlobalState::new(&case.cluster),
+        )
+        .expect("linear_net is feasible");
+    let mut sim = Simulation::new(
+        case.cluster,
+        SimConfig::quick().with_network_model(NetworkModel::Fair),
+    );
+    sim.add_topology(&case.topology, &assignment);
+    sim.set_fault_plan(
+        FaultPlan::new()
+            .partition_rack(10_000.0, 20_000.0, "rack-1")
+            .degrade_links(30_000.0, 40_000.0, 5.0),
+    );
+    let report = sim.run();
+    check_golden("linear_net_fair_faults", &report.to_json());
+}
