@@ -13,6 +13,7 @@ use rstorm_cluster::{Cluster, NetworkCosts, PlacementRelation, WorkerSlot};
 use rstorm_core::Assignment;
 use rstorm_topology::{StreamGrouping, Topology};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One downstream subscription of a component, resolved to global
 /// simulator task indices (reference-engine routing: the grouping is
@@ -172,6 +173,8 @@ pub(crate) struct SimBuild {
     pub node_tasks: Vec<Vec<usize>>,
     /// Dense topology id → name (report boundary only).
     pub topo_names: Vec<String>,
+    /// Dense topology id → its tasks' global indices.
+    pub topo_tasks: Vec<Range<usize>>,
     /// Per topology: its sinks' counter indices, in sorted component-name
     /// order (the reference `StatisticServer` iterates sinks through a
     /// `BTreeSet<String>`, so the float summation order must match).
@@ -191,6 +194,7 @@ impl SimBuild {
             node_mem_demand: vec![0.0; node_count],
             node_tasks: vec![Vec::new(); node_count],
             topo_names: Vec::new(),
+            topo_tasks: Vec::new(),
             sink_ctrs_by_topo: Vec::new(),
             sink_counters: 0,
         }
@@ -217,6 +221,7 @@ impl SimBuild {
         let base = self.specs.len();
         let topo_id = self.topo_names.len() as u32;
         self.topo_names.push(topology.id().as_str().to_owned());
+        self.topo_tasks.push(base..base + task_set.len());
 
         // Intern this topology's sinks into dense counter ids, in sorted
         // name order (the `BTreeSet` order the reference stats use).

@@ -329,7 +329,10 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the times are negative or non-finite.
+    /// Panics if the times are negative or non-finite. When the
+    /// simulation runs, panics if the plan names a topology that was not
+    /// added, a destination node missing from the cluster, or a task
+    /// index beyond its topology's task count.
     pub fn schedule_migration(&mut self, plan: &MigrationPlan, at_ms: f64, pause_ms: f64) {
         assert!(
             at_ms.is_finite() && at_ms >= 0.0 && pause_ms.is_finite() && pause_ms >= 0.0,
@@ -612,21 +615,29 @@ impl Engine {
         });
         let mut migrations = Vec::new();
         for m in sim_migrations {
-            let base = build
-                .specs
+            let topo = build
+                .topo_names
                 .iter()
-                .position(|s| s.topology == m.topology)
+                .position(|name| *name == m.topology)
                 .unwrap_or_else(|| {
                     panic!("migration references unknown topology `{}`", m.topology)
                 });
+            let tasks = build.topo_tasks[topo].clone();
             let moves = m
                 .moves
                 .iter()
                 .map(|(task, slot)| {
+                    let task = *task as usize;
+                    assert!(
+                        task < tasks.len(),
+                        "migration references unknown task {task} of topology `{}` ({} tasks)",
+                        m.topology,
+                        tasks.len()
+                    );
                     let node = *index.node_of.get(slot.node.as_str()).unwrap_or_else(|| {
                         panic!("migration references unknown node `{}`", slot.node)
                     });
-                    (base + *task as usize, node, slot.clone())
+                    (tasks.start + task, node, slot.clone())
                 })
                 .collect();
             fault_schedule.push((m.at_ms, fault_actions.len()));
@@ -2430,6 +2441,33 @@ mod tests {
             "destination accrued busy time: {:?}",
             r1.node_utilization
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "migration references unknown task 12 of topology `a`")]
+    fn migration_with_out_of_range_task_rejected() {
+        // Two topologies sit back to back in the global task table, so an
+        // unchecked index past `a`'s 12 tasks would silently move the
+        // first task of `b` instead.
+        let cluster = emulab(2, 6);
+        let t1 = linear_topology("a", 3, ExecutionProfile::new(0.2, 1.0, 100), 20.0, 128.0);
+        let t2 = linear_topology("b", 3, ExecutionProfile::new(0.2, 1.0, 100), 20.0, 128.0);
+        let plan = schedule_all(&RStormScheduler::new(), &[&t1, &t2], &cluster).unwrap();
+        let dest = cluster.nodes()[0].id().as_str().to_owned();
+        let migration = MigrationPlan {
+            topology: t1.id().clone(),
+            moves: vec![rstorm_core::MigrationMove {
+                task: rstorm_topology::TaskId(t1.total_tasks()),
+                component: "c0".to_owned(),
+                from: rstorm_cluster::NodeId::new(dest.as_str()),
+                to: WorkerSlot::new(dest.as_str(), 6700),
+            }],
+        };
+        let mut sim = Simulation::new(cluster.clone(), SimConfig::quick());
+        sim.add_topology(&t1, plan.assignment("a").unwrap());
+        sim.add_topology(&t2, plan.assignment("b").unwrap());
+        sim.schedule_migration(&migration, 10_000.0, 500.0);
+        sim.run();
     }
 
     #[test]
