@@ -2,12 +2,16 @@
 //! interning every entity the hot path touches into dense integer ids.
 //!
 //! All naming happens here, once, at build time: tasks, components,
-//! topologies and nodes become dense indices, and per producer task ×
-//! output stream the full routing decision — which consumer tasks can
-//! receive a batch, over which link path, at which fixed latency — is
-//! resolved into a flat [`RoutingTable`]. The steady-state event loop in
-//! [`crate::sim`] then never hashes a `String`, never compares a
-//! `WorkerSlot` and never re-derives a grouping; it only indexes arrays.
+//! topologies and nodes become dense indices, and per producer ×
+//! output stream the grouping is resolved into a flat [`RoutingTable`]
+//! of target pools — consumer task ids only. A row carries no
+//! placement: the engine derives each transfer's link class and
+//! latency from the two endpoints' current placement, so the table of
+//! a shuffle, fields, all or global group is the same for every
+//! producer task of a component and is stored once per component.
+//! The steady-state event loop in [`crate::sim`] then never hashes a
+//! `String`, never compares a `WorkerSlot` and never re-derives a
+//! grouping; it only indexes arrays.
 
 use rstorm_cluster::{Cluster, NetworkCosts, PlacementRelation, WorkerSlot};
 use rstorm_core::Assignment;
@@ -38,6 +42,9 @@ pub(crate) struct SimTaskSpec {
     pub rack_idx: usize,
     /// Dense id of the owning topology (order of `add_topology` calls).
     pub topo_id: u32,
+    /// Dense id of the owning component, unique across topologies
+    /// (declaration order within each topology).
+    pub comp_id: u32,
     /// Dense throughput-counter index if this task's component is a
     /// declared sink, [`NO_SINK`] otherwise.
     pub sink_ctr: u32,
@@ -67,29 +74,6 @@ pub(crate) enum GroupKind {
     All,
 }
 
-/// The physical link class of a precomputed route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LinkKind {
-    /// Same worker or same node: no NIC serialization, latency only.
-    Local,
-    /// Same rack: producer egress → consumer ingress.
-    SameRack,
-    /// Across racks: egress → shared uplink → ingress.
-    InterRack,
-}
-
-/// One fully resolved producer-task → consumer-task route.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Route {
-    /// Global index of the receiving task.
-    pub to: u32,
-    /// The receiver's node (ingress link server index).
-    pub to_node: u32,
-    pub kind: LinkKind,
-    /// Fixed propagation latency of this route's placement relation.
-    pub latency_ms: f64,
-}
-
 /// A contiguous range of routes with a selection rule.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RouteGroup {
@@ -99,11 +83,14 @@ pub(crate) struct RouteGroup {
 }
 
 /// Flat per-task routing: `task_groups[task]` is a range into `groups`,
-/// each group a range into `routes`.
+/// each group a range into `routes`. All producer tasks of a component
+/// share one group range unless the component feeds a local-or-shuffle
+/// group, whose preference pool depends on each producer's placement.
 #[derive(Debug, Default)]
 pub(crate) struct RoutingTable {
     pub groups: Vec<RouteGroup>,
-    pub routes: Vec<Route>,
+    /// Global index of each route's receiving task.
+    pub routes: Vec<u32>,
     /// Per global task: (start, len) into `groups`.
     pub task_groups: Vec<(u32, u32)>,
 }
@@ -153,20 +140,14 @@ impl ClusterIndex {
 pub(crate) struct SimBuild {
     pub specs: Vec<SimTaskSpec>,
     pub routing: RoutingTable,
-    /// Producer task of each route, parallel to `routing.routes` — the
-    /// reverse edge [`Self::patch_routing`] needs to re-derive a single
-    /// route without replaying its whole group.
-    pub route_from: Vec<u32>,
-    /// Per global task: indices into `routing.routes` of every route that
-    /// *targets* the task, so a moved consumer's inbound rows are
-    /// reachable in O(degree) instead of a full-table scan.
-    pub incoming: Vec<Vec<u32>>,
     /// Per global task: true when the task produces or can receive a
     /// local-or-shuffle group. Moving such a task can change the group's
     /// precomputed preference *pool* (and with it the table's shape), so
     /// [`Self::patch_routing`] refuses and the caller falls back to a
     /// full rebuild.
     pub los_member: Vec<bool>,
+    /// Number of dense component ids handed out so far.
+    pub components: usize,
     pub node_mem_demand: Vec<f64>,
     /// Per node: global ids of the tasks placed on it, in placement
     /// order — the `DenseCpuServer` slot layout.
@@ -188,9 +169,8 @@ impl SimBuild {
         Self {
             specs: Vec::new(),
             routing: RoutingTable::default(),
-            route_from: Vec::new(),
-            incoming: Vec::new(),
             los_member: Vec::new(),
+            components: 0,
             node_mem_demand: vec![0.0; node_count],
             node_tasks: vec![Vec::new(); node_count],
             topo_names: Vec::new(),
@@ -213,7 +193,6 @@ impl SimBuild {
     pub fn append_topology(
         &mut self,
         index: &ClusterIndex,
-        costs: &NetworkCosts,
         topology: &Topology,
         assignment: &Assignment,
     ) {
@@ -237,7 +216,27 @@ impl SimBuild {
             .push((0..sink_names.len()).map(|k| ctr_base + k as u32).collect());
         self.sink_counters += sink_names.len();
 
-        // First pass: create specs without consumer routing.
+        // Intern components into dense ids, in declaration order.
+        let comp_base = self.components as u32;
+        let comp_of: HashMap<&str, u32> = topology
+            .components()
+            .iter()
+            .enumerate()
+            .map(|(k, c)| (c.id().as_str(), comp_base + k as u32))
+            .collect();
+        self.components += comp_of.len();
+
+        // Each component's consumers, resolved to global task indices.
+        let global_of: HashMap<&str, Vec<usize>> = task_set
+            .by_component()
+            .map(|(c, ids)| {
+                (
+                    c.as_str(),
+                    ids.iter().map(|t| base + t.index()).collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+
         for task in task_set.tasks() {
             let component = topology
                 .component(task.component.as_str())
@@ -264,6 +263,14 @@ impl SimBuild {
                 .get(task.component.as_str())
                 .copied()
                 .unwrap_or(NO_SINK);
+            let consumers = topology
+                .consumers(task.component.as_str())
+                .iter()
+                .map(|(consumer, decl)| ConsumerGroup {
+                    grouping: decl.grouping.clone(),
+                    targets: global_of[consumer.as_str()].clone(),
+                })
+                .collect();
             self.specs.push(SimTaskSpec {
                 topology: topology.id().as_str().to_owned(),
                 component: task.component.as_str().to_owned(),
@@ -271,6 +278,7 @@ impl SimBuild {
                 node_idx,
                 rack_idx: index.rack_of_node[node_idx],
                 topo_id,
+                comp_id: comp_of[task.component.as_str()],
                 sink_ctr,
                 cpu_slot,
                 is_spout: component.is_spout(),
@@ -281,197 +289,176 @@ impl SimBuild {
                 max_rate_tuples_per_sec: profile.max_rate_tuples_per_sec,
                 max_spout_pending: topology.max_spout_pending(),
                 memory_mb: component.resources().memory_mb,
-                consumers: Vec::new(),
+                consumers,
             });
         }
-
-        // Second pass: resolve each component's consumers to global
-        // indices, and freeze every routing decision that does not depend
-        // on the run — target sets per grouping (including the
-        // local-or-shuffle preference pool) and the link path plus
-        // latency per (producer, consumer) pair.
-        self.incoming.resize(self.specs.len(), Vec::new());
         self.los_member.resize(self.specs.len(), false);
-        let global_of: HashMap<&str, Vec<usize>> = task_set
-            .by_component()
-            .map(|(c, ids)| {
-                (
-                    c.as_str(),
-                    ids.iter().map(|t| base + t.index()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        for task in task_set.tasks() {
-            let from = base + task.id.index();
-            let groups_start = self.routing.groups.len() as u32;
-            let groups: Vec<ConsumerGroup> = topology
-                .consumers(task.component.as_str())
-                .iter()
-                .map(|(consumer, decl)| ConsumerGroup {
-                    grouping: decl.grouping.clone(),
-                    targets: global_of[consumer.as_str()].clone(),
-                })
-                .collect();
-            for group in &groups {
-                self.push_route_group(costs, from, group);
-            }
-            let len = self.routing.groups.len() as u32 - groups_start;
-            debug_assert_eq!(self.routing.task_groups.len(), from);
-            self.routing.task_groups.push((groups_start, len));
-            self.specs[from].consumers = groups;
-        }
+        self.route_tasks(base..self.specs.len());
     }
 
     /// Recomputes the whole routing table from the current task specs.
     ///
-    /// Live migration moves tasks between worker slots, which invalidates
-    /// every placement-derived routing decision: link kinds, per-route
-    /// latencies and the local-or-shuffle preference pools. The consumer
-    /// groups (grouping + target task sets) are placement-independent, so
-    /// replaying them through the same [`Self::push_route_group`] logic
-    /// reproduces exactly the table a fresh build of the new placement
-    /// would produce — tasks that did not move get bit-identical routes.
+    /// Only local-or-shuffle preference pools depend on placement; the
+    /// consumer groups (grouping + target task sets) do not, so replaying
+    /// them through [`Self::route_tasks`] reproduces exactly the table a
+    /// fresh build of the current placement would produce.
     ///
     /// The existing buffers are reused (`clear()` + refill) rather than
     /// reallocated: the table's capacity is already exactly right from
     /// the previous build, so repeated rebuilds stop churning the
     /// allocator.
-    pub fn rebuild_routing(&mut self, costs: &NetworkCosts) {
+    pub fn rebuild_routing(&mut self) {
         self.routing.groups.clear();
         self.routing.routes.clear();
         self.routing.task_groups.clear();
-        self.route_from.clear();
-        for list in &mut self.incoming {
-            list.clear();
-        }
         self.los_member.fill(false);
-        for from in 0..self.specs.len() {
+        self.route_tasks(0..self.specs.len());
+    }
+
+    /// Refreshes routing after the tasks in `moved` changed placement.
+    ///
+    /// Rows hold consumer task ids only and the engine derives each
+    /// transfer's link class from current placement, so a move changes
+    /// no row of a shuffle, fields, all or global group: there is
+    /// nothing to patch. Returns `false` when any moved task
+    /// participates in a local-or-shuffle group: its preference pool
+    /// (and with it the table's shape) depends on placement, so the
+    /// caller must fall back to [`Self::rebuild_routing`].
+    pub fn patch_routing(&self, moved: &[usize]) -> bool {
+        !moved.iter().any(|&t| self.los_member[t])
+    }
+
+    /// Pushes the route groups of the tasks in `tasks`, appending their
+    /// `task_groups` entries in order. A component whose groups are all
+    /// placement-free pushes them once, at its first task; every later
+    /// task of the component points at that shared range. A component
+    /// with a local-or-shuffle group pushes per-task rows.
+    fn route_tasks(&mut self, tasks: Range<usize>) {
+        let mut shared: Vec<Option<(u32, u32)>> = vec![None; self.components];
+        for from in tasks {
+            debug_assert_eq!(self.routing.task_groups.len(), from);
+            let comp = self.specs[from].comp_id as usize;
+            if let Some(range) = shared[comp] {
+                self.routing.task_groups.push(range);
+                continue;
+            }
             let groups_start = self.routing.groups.len() as u32;
             let groups = std::mem::take(&mut self.specs[from].consumers);
             for group in &groups {
-                self.push_route_group(costs, from, group);
+                self.push_route_group(from, group);
             }
+            let per_task = groups
+                .iter()
+                .any(|g| g.grouping == StreamGrouping::LocalOrShuffle);
             self.specs[from].consumers = groups;
-            let len = self.routing.groups.len() as u32 - groups_start;
-            self.routing.task_groups.push((groups_start, len));
-        }
-    }
-
-    /// Patches the routing table in place after the tasks in `moved`
-    /// changed placement, recomputing only the route rows whose producer
-    /// or consumer moved — O(moved · degree) instead of the full
-    /// O(tasks · fan-out) rebuild.
-    ///
-    /// Sound because for shuffle, fields, all and global groupings the
-    /// *shape* of the table (group ranges, target order, route count) is
-    /// placement-independent: a from-scratch rebuild after the same moves
-    /// would produce the identical layout with only the affected rows'
-    /// link kind, latency and destination node changed — exactly the rows
-    /// patched here. Re-deriving a row is idempotent, so a route whose
-    /// two endpoints both moved is simply recomputed twice.
-    ///
-    /// Returns `false` — leaving the table untouched — when any moved
-    /// task participates in a local-or-shuffle group: its precomputed
-    /// preference pool (and with it the table's shape) depends on
-    /// placement, so the caller must fall back to
-    /// [`Self::rebuild_routing`].
-    pub fn patch_routing(&mut self, costs: &NetworkCosts, moved: &[usize]) -> bool {
-        if moved.iter().any(|&t| self.los_member[t]) {
-            return false;
-        }
-        for &t in moved {
-            // Rows the moved task produces: every route of its groups.
-            let (gs, gl) = self.routing.task_groups[t];
-            for g in gs..gs + gl {
-                let group = self.routing.groups[g as usize];
-                for r in group.start..group.start + group.len {
-                    self.repatch_route(costs, t, r as usize);
-                }
+            let range = (
+                groups_start,
+                self.routing.groups.len() as u32 - groups_start,
+            );
+            if !per_task {
+                shared[comp] = Some(range);
             }
-            // Rows the moved task consumes: every route targeting it.
-            for k in 0..self.incoming[t].len() {
-                let r = self.incoming[t][k] as usize;
-                let from = self.route_from[r] as usize;
-                self.repatch_route(costs, from, r);
-            }
+            self.routing.task_groups.push(range);
         }
-        true
     }
 
-    /// Recomputes one route's placement-derived fields from the current
-    /// specs of its (unchanged) endpoints.
-    fn repatch_route(&mut self, costs: &NetworkCosts, from: usize, r: usize) {
-        let to = self.routing.routes[r].to as usize;
-        let relation = relation_of(&self.specs[from], &self.specs[to]);
-        let link = match relation {
-            PlacementRelation::SameWorker | PlacementRelation::SameNode => LinkKind::Local,
-            PlacementRelation::SameRack => LinkKind::SameRack,
-            PlacementRelation::InterRack => LinkKind::InterRack,
-        };
-        self.routing.routes[r] = Route {
-            to: to as u32,
-            to_node: self.specs[to].node_idx as u32,
-            kind: link,
-            latency_ms: costs.latency_ms(relation),
-        };
-    }
-
-    fn push_route_group(&mut self, costs: &NetworkCosts, from: usize, group: &ConsumerGroup) {
+    fn push_route_group(&mut self, from: usize, group: &ConsumerGroup) {
         let targets = &group.targets;
         debug_assert!(!targets.is_empty(), "validated topologies have tasks");
-        if matches!(group.grouping, StreamGrouping::LocalOrShuffle) {
-            self.los_member[from] = true;
-            for &t in targets {
-                self.los_member[t] = true;
-            }
-        }
         let start = self.routing.routes.len() as u32;
-        let (kind, chosen): (GroupKind, Vec<usize>) = match &group.grouping {
+        let kind = match &group.grouping {
             // Fields grouping with uniformly distributed keys is
             // statistically identical to shuffle at this granularity, so
             // both pick uniformly over the full target set.
             StreamGrouping::Shuffle | StreamGrouping::Fields(_) => {
-                (GroupKind::Pick, targets.clone())
+                self.routing
+                    .routes
+                    .extend(targets.iter().map(|&t| t as u32));
+                GroupKind::Pick
             }
-            StreamGrouping::All => (GroupKind::All, targets.clone()),
-            StreamGrouping::Global => (GroupKind::All, vec![targets[0]]),
+            StreamGrouping::All => {
+                self.routing
+                    .routes
+                    .extend(targets.iter().map(|&t| t as u32));
+                GroupKind::All
+            }
+            StreamGrouping::Global => {
+                self.routing.routes.push(targets[0] as u32);
+                GroupKind::All
+            }
             StreamGrouping::LocalOrShuffle => {
+                self.los_member[from] = true;
+                for &t in targets {
+                    self.los_member[t] = true;
+                }
                 let from_slot = &self.specs[from].slot;
-                let local: Vec<usize> = targets
+                let local = targets
                     .iter()
-                    .copied()
-                    .filter(|&t| self.specs[t].slot == *from_slot)
-                    .collect();
-                let pool = if local.is_empty() {
-                    targets.clone()
-                } else {
-                    local
-                };
-                (GroupKind::Pick, pool)
+                    .filter(|&&t| self.specs[t].slot == *from_slot)
+                    .map(|&t| t as u32);
+                self.routing.routes.extend(local);
+                if self.routing.routes.len() as u32 == start {
+                    self.routing
+                        .routes
+                        .extend(targets.iter().map(|&t| t as u32));
+                }
+                GroupKind::Pick
             }
         };
-        for to in chosen {
-            let relation = relation_of(&self.specs[from], &self.specs[to]);
-            let link = match relation {
-                PlacementRelation::SameWorker | PlacementRelation::SameNode => LinkKind::Local,
-                PlacementRelation::SameRack => LinkKind::SameRack,
-                PlacementRelation::InterRack => LinkKind::InterRack,
-            };
-            self.incoming[to].push(self.routing.routes.len() as u32);
-            self.route_from.push(from as u32);
-            self.routing.routes.push(Route {
-                to: to as u32,
-                to_node: self.specs[to].node_idx as u32,
-                kind: link,
-                latency_ms: costs.latency_ms(relation),
-            });
-        }
         self.routing.groups.push(RouteGroup {
             kind,
             start,
             len: self.routing.routes.len() as u32 - start,
         });
     }
+}
+
+/// Where a task runs, in dense ids: everything a transfer needs to
+/// derive its link class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Placement {
+    pub node: u32,
+    pub rack: u32,
+    /// Worker port: with `node`, identifies the worker slot.
+    pub port: u16,
+}
+
+impl Placement {
+    pub fn of(spec: &SimTaskSpec) -> Self {
+        Self {
+            node: spec.node_idx as u32,
+            rack: spec.rack_idx as u32,
+            port: spec.slot.port,
+        }
+    }
+
+    /// How far a transfer from `self` to `to` travels: the rule of
+    /// [`relation_of`] over dense ids (a slot is a node and a port).
+    pub fn relation_to(self, to: Placement) -> PlacementRelation {
+        if self.node == to.node {
+            if self.port == to.port {
+                PlacementRelation::SameWorker
+            } else {
+                PlacementRelation::SameNode
+            }
+        } else if self.rack == to.rack {
+            PlacementRelation::SameRack
+        } else {
+            PlacementRelation::InterRack
+        }
+    }
+}
+
+/// Propagation latency per [`PlacementRelation`], indexed by
+/// `relation as usize`.
+pub(crate) fn latency_table(costs: &NetworkCosts) -> [f64; 4] {
+    [
+        PlacementRelation::SameWorker,
+        PlacementRelation::SameNode,
+        PlacementRelation::SameRack,
+        PlacementRelation::InterRack,
+    ]
+    .map(|relation| costs.latency_ms(relation))
 }
 
 pub(crate) fn relation_of(a: &SimTaskSpec, b: &SimTaskSpec) -> PlacementRelation {
@@ -517,8 +504,44 @@ mod tests {
     fn build(cluster: &Cluster, topology: &Topology, assignment: &Assignment) -> SimBuild {
         let idx = ClusterIndex::new(cluster);
         let mut b = SimBuild::new(cluster.nodes().len());
-        b.append_topology(&idx, cluster.costs(), topology, assignment);
+        b.append_topology(&idx, topology, assignment);
         b
+    }
+
+    /// Checks every (producer, route) pair against the current specs:
+    /// the relation the engine derives from dense placement equals
+    /// [`relation_of`], the destination node is the consumer's node, and
+    /// the latency read from the table is `NetworkCosts::latency_ms` of
+    /// that relation.
+    fn assert_links_match_specs(b: &SimBuild, costs: &NetworkCosts) {
+        let latency = latency_table(costs);
+        for (from, &(gs, gl)) in b.routing.task_groups.iter().enumerate() {
+            for g in &b.routing.groups[gs as usize..(gs + gl) as usize] {
+                for &to in &b.routing.routes[g.start as usize..(g.start + g.len) as usize] {
+                    let (src, dst) = (&b.specs[from], &b.specs[to as usize]);
+                    let derived = Placement::of(src).relation_to(Placement::of(dst));
+                    let expected = relation_of(src, dst);
+                    assert_eq!(derived, expected, "route {from} -> {to}");
+                    assert_eq!(Placement::of(dst).node as usize, dst.node_idx);
+                    assert_eq!(latency[derived as usize], costs.latency_ms(expected));
+                }
+            }
+        }
+    }
+
+    /// The link class a transfer over `g`'s first route would take.
+    fn first_route_relation(b: &SimBuild, from: usize) -> PlacementRelation {
+        let (gs, _) = b.routing.task_groups[from];
+        let g = b.routing.groups[gs as usize];
+        let to = b.routing.routes[g.start as usize] as usize;
+        Placement::of(&b.specs[from]).relation_to(Placement::of(&b.specs[to]))
+    }
+
+    fn is_local(relation: PlacementRelation) -> bool {
+        matches!(
+            relation,
+            PlacementRelation::SameWorker | PlacementRelation::SameNode
+        )
     }
 
     #[test]
@@ -566,36 +589,19 @@ mod tests {
         let g = b.routing.groups[gs as usize];
         assert_eq!(g.kind, GroupKind::Pick);
         assert_eq!(g.len, 3);
-        let tos: Vec<u32> = (g.start..g.start + g.len)
-            .map(|r| b.routing.routes[r as usize].to)
-            .collect();
-        assert_eq!(tos, vec![2, 3, 4]);
+        let tos = &b.routing.routes[g.start as usize..(g.start + g.len) as usize];
+        assert_eq!(tos, [2, 3, 4]);
         // Middle task 2: global grouping stored as a single-route All.
         let (gs2, gl2) = b.routing.task_groups[2];
         assert_eq!(gl2, 1);
         let g2 = b.routing.groups[gs2 as usize];
         assert_eq!(g2.kind, GroupKind::All);
         assert_eq!(g2.len, 1);
-        assert_eq!(b.routing.routes[g2.start as usize].to, 5);
+        assert_eq!(b.routing.routes[g2.start as usize], 5);
         // The sink has no groups.
         assert_eq!(b.routing.task_groups[5].1, 0);
-        // Every route's link kind is consistent with its latency: a
-        // local route costs at most a same-rack one, etc.
-        let costs = cluster.costs();
-        for r in &b.routing.routes {
-            let expected = match r.kind {
-                LinkKind::Local => {
-                    assert!(
-                        r.latency_ms <= costs.latency_ms(PlacementRelation::SameNode),
-                        "local latency out of range"
-                    );
-                    continue;
-                }
-                LinkKind::SameRack => costs.latency_ms(PlacementRelation::SameRack),
-                LinkKind::InterRack => costs.latency_ms(PlacementRelation::InterRack),
-            };
-            assert_eq!(r.latency_ms, expected);
-        }
+        // Every route's derived link class and latency follow the specs.
+        assert_links_match_specs(&b, cluster.costs());
     }
 
     #[test]
@@ -622,17 +628,15 @@ mod tests {
         let (cluster, topology, assignment) = setup();
         let idx = ClusterIndex::new(&cluster);
         let mut b = SimBuild::new(cluster.nodes().len());
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
         assert_eq!(b.specs.len(), 12);
         // Second copy's spout routes into the second copy's bolts.
         assert_eq!(b.specs[6].consumers[0].targets, vec![8, 9, 10]);
         let (gs, _) = b.routing.task_groups[6];
         let g = b.routing.groups[gs as usize];
-        let tos: Vec<u32> = (g.start..g.start + g.len)
-            .map(|r| b.routing.routes[r as usize].to)
-            .collect();
-        assert_eq!(tos, vec![8, 9, 10]);
+        let tos = &b.routing.routes[g.start as usize..(g.start + g.len) as usize];
+        assert_eq!(tos, [8, 9, 10]);
         // Sink counters are disjoint per topology.
         assert_eq!(b.sink_ctrs_by_topo, vec![vec![0], vec![1]]);
         assert_eq!(b.specs[11].sink_ctr, 1);
@@ -643,7 +647,7 @@ mod tests {
         let (cluster, topology, assignment) = setup();
         let mut b = build(&cluster, &topology, &assignment);
         let before = format!("{:?}", b.routing);
-        b.rebuild_routing(cluster.costs());
+        b.rebuild_routing();
         assert_eq!(before, format!("{:?}", b.routing));
     }
 
@@ -659,14 +663,18 @@ mod tests {
         b.specs[5].node_idx = dest;
         b.specs[5].rack_idx = idx.rack_of_node[dest];
         b.specs[5].slot = rstorm_cluster::WorkerSlot::new(idx.node_names[dest].as_str(), 9000);
-        b.rebuild_routing(cluster.costs());
+        b.rebuild_routing();
         // The middle bolt's single global route now points at the new node.
         let (gs, _) = b.routing.task_groups[2];
         let g = b.routing.groups[gs as usize];
-        let r = b.routing.routes[g.start as usize];
-        assert_eq!(r.to, 5);
-        assert_eq!(r.to_node, dest as u32);
-        assert_ne!(r.kind, LinkKind::Local, "the sink left its producers");
+        let to = b.routing.routes[g.start as usize];
+        assert_eq!(to, 5);
+        assert_eq!(Placement::of(&b.specs[5]).node, dest as u32);
+        assert!(
+            !is_local(first_route_relation(&b, 2)),
+            "the sink left its producers"
+        );
+        assert_links_match_specs(&b, cluster.costs());
     }
 
     #[test]
@@ -677,13 +685,10 @@ mod tests {
         build(&cluster, &topology, &empty);
     }
 
-    /// Everything the patch path may touch, in one comparable blob: the
-    /// routing table plus the side indexes that must stay in lockstep.
+    /// Everything a routing refresh may touch, in one comparable blob:
+    /// the routing table plus the local-or-shuffle membership flags.
     fn fingerprint(b: &SimBuild) -> String {
-        format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            b.routing, b.route_from, b.incoming, b.los_member
-        )
+        format!("{:?}|{:?}", b.routing, b.los_member)
     }
 
     /// Applies the placement part of a migration directly to the specs,
@@ -697,9 +702,9 @@ mod tests {
     #[test]
     fn patch_with_no_moves_is_a_noop() {
         let (cluster, topology, assignment) = setup();
-        let mut b = build(&cluster, &topology, &assignment);
+        let b = build(&cluster, &topology, &assignment);
         let before = fingerprint(&b);
-        assert!(b.patch_routing(cluster.costs(), &[]));
+        assert!(b.patch_routing(&[]));
         assert_eq!(before, fingerprint(&b));
     }
 
@@ -710,7 +715,7 @@ mod tests {
         let mut patched = build(&cluster, &topology, &assignment);
         let mut rebuilt = build(&cluster, &topology, &assignment);
         // Move a producer (spout task 0) and a consumer (sink task 5) to
-        // a free node — exercises both the outgoing and incoming rows,
+        // a free node — exercises both the outgoing and incoming links,
         // including a task that is both endpoints of a crossing route.
         let dest = (0..idx.node_names.len())
             .find(|&n| patched.specs.iter().all(|s| s.node_idx != n))
@@ -719,21 +724,20 @@ mod tests {
             relocate(b, &idx, 0, dest);
             relocate(b, &idx, 5, dest);
         }
-        assert!(patched.patch_routing(cluster.costs(), &[0, 5]));
-        rebuilt.rebuild_routing(cluster.costs());
+        assert!(patched.patch_routing(&[0, 5]));
+        rebuilt.rebuild_routing();
         assert_eq!(fingerprint(&patched), fingerprint(&rebuilt));
         // The move is visible: spout 0's routes now leave `dest`.
-        let (gs, _) = patched.routing.task_groups[0];
-        let g = patched.routing.groups[gs as usize];
-        assert_ne!(
-            patched.routing.routes[g.start as usize].kind,
-            LinkKind::Local,
+        assert!(
+            !is_local(first_route_relation(&patched, 0)),
             "the spout left its consumers"
         );
+        assert_links_match_specs(&patched, cluster.costs());
     }
 
-    #[test]
-    fn local_or_shuffle_members_force_full_rebuild() {
+    /// `s` (2 tasks) shuffles into `m` (3 tasks), which feeds `k`
+    /// (2 tasks) through a local-or-shuffle group.
+    fn los_setup() -> (Cluster, Topology, Assignment) {
         let cluster = ClusterBuilder::new()
             .homogeneous_racks(2, 3, ResourceCapacity::emulab_node(), 4)
             .build()
@@ -751,15 +755,49 @@ mod tests {
         let assignment = RStormScheduler::new()
             .schedule(&topology, &cluster, &mut state)
             .unwrap();
+        (cluster, topology, assignment)
+    }
+
+    #[test]
+    fn placement_free_components_share_one_group_range() {
+        let (cluster, topology, assignment) = los_setup();
+        let b = build(&cluster, &topology, &assignment);
+        let groups = &b.routing.task_groups;
+        // Both spout tasks (shuffle into `m`) point at one shared range,
+        // so its three routes are stored once.
+        assert_eq!(groups[0], groups[1]);
+        // Each local-or-shuffle producer (`m`: 2..5) keeps its own range,
+        // because its preference pool depends on where it sits.
+        assert_ne!(groups[2], groups[3]);
+        assert_ne!(groups[3], groups[4]);
+        assert_ne!(groups[2], groups[4]);
+        assert!(groups[2..5].iter().all(|&(_, len)| len == 1));
+        assert_ne!(groups[0], groups[2]);
+        // One shared range of 3 routes, plus one pool per `m` task (of
+        // its co-located `k` tasks, or both when none is local).
+        let pools: u32 = (2..5)
+            .map(|t| b.routing.groups[groups[t].0 as usize].len)
+            .sum();
+        assert_eq!(b.routing.routes.len() as u32, 3 + pools);
+        // A rebuild keeps the same sharing.
+        let mut rebuilt = build(&cluster, &topology, &assignment);
+        rebuilt.rebuild_routing();
+        assert_eq!(fingerprint(&b), fingerprint(&rebuilt));
+        assert_links_match_specs(&b, cluster.costs());
+    }
+
+    #[test]
+    fn local_or_shuffle_members_force_full_rebuild() {
+        let (cluster, topology, assignment) = los_setup();
         let b = build(&cluster, &topology, &assignment);
         // Producers (m: 2..5) and targets (k: 5..7) of the LoS group are
         // flagged; the spout tasks are not.
         assert!(!b.los_member[0] && !b.los_member[1]);
         assert!((2..7).all(|t| b.los_member[t]));
         // A LoS member declines the patch and leaves the table untouched…
-        let mut declined = build(&cluster, &topology, &assignment);
+        let declined = build(&cluster, &topology, &assignment);
         let before = fingerprint(&declined);
-        assert!(!declined.patch_routing(cluster.costs(), &[0, 3]));
+        assert!(!declined.patch_routing(&[0, 3]));
         assert_eq!(before, fingerprint(&declined));
         // …while a move of only the (non-member) spout still patches and
         // matches the full rebuild.
@@ -769,9 +807,10 @@ mod tests {
         let dest = (patched.specs[0].node_idx + 1) % idx.node_names.len();
         relocate(&mut patched, &idx, 0, dest);
         relocate(&mut rebuilt, &idx, 0, dest);
-        assert!(patched.patch_routing(cluster.costs(), &[0]));
-        rebuilt.rebuild_routing(cluster.costs());
+        assert!(patched.patch_routing(&[0]));
+        rebuilt.rebuild_routing();
         assert_eq!(fingerprint(&patched), fingerprint(&rebuilt));
+        assert_links_match_specs(&patched, cluster.costs());
     }
 
     #[test]
@@ -779,8 +818,8 @@ mod tests {
         let (cluster, topology, assignment) = setup();
         let idx = ClusterIndex::new(&cluster);
         let mut b = SimBuild::new(cluster.nodes().len());
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
         // The engine's sorted-membership invariant starts here: appending
         // walks tasks in increasing global id, so every per-node list is
         // born sorted and `apply_migration` keeps it that way.
@@ -791,8 +830,9 @@ mod tests {
 
     proptest::proptest! {
         /// For any random move set — empty, partial or a full shuffle of
-        /// every task — the patched table and side indexes are
-        /// bit-identical to a from-scratch rebuild.
+        /// every task — the patched table and membership flags are
+        /// bit-identical to a from-scratch rebuild, and every route's
+        /// derived link class follows the moved specs.
         #[test]
         fn patch_is_bit_identical_to_rebuild(
             moves in proptest::collection::vec((0usize..6, 0usize..6), 0..7),
@@ -807,9 +847,10 @@ mod tests {
                 relocate(&mut rebuilt, &idx, task, dest);
                 moved.push(task);
             }
-            proptest::prop_assert!(patched.patch_routing(cluster.costs(), &moved));
-            rebuilt.rebuild_routing(cluster.costs());
+            proptest::prop_assert!(patched.patch_routing(&moved));
+            rebuilt.rebuild_routing();
             proptest::prop_assert_eq!(fingerprint(&patched), fingerprint(&rebuilt));
+            assert_links_match_specs(&patched, cluster.costs());
         }
     }
 }

@@ -32,11 +32,10 @@
 //!
 //! Both halves are deterministic, so the whole [`ChaosOutcome`] — report
 //! bits included — is a pure function of `(cluster, topology, config)`.
-//! Any migrations the scenario schedules reach the routing layer through
-//! the engine's incremental patch path (see
-//! [`SimConfig::incremental_routing`]); crash and recover themselves
-//! never touch the routing table — placement is unchanged, only
-//! liveness flips.
+//! Any migrations the scenario schedules move only task placement, which
+//! every later transfer reads (see [`SimConfig::incremental_routing`]);
+//! crash and recover themselves never touch the routing table —
+//! placement is unchanged, only liveness flips.
 
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultPlan};

@@ -74,12 +74,13 @@ pub struct SimConfig {
     /// the budget are quarantined as poison tuples. `0` disables replay
     /// entirely and preserves bit-identical legacy (at-most-once) behavior.
     pub max_replays: u32,
-    /// When true (the default), migrations patch only the routing-table
-    /// rows whose producer or consumer moved instead of rebuilding the
-    /// whole table — O(moved·degree) instead of O(tasks²). The patched
-    /// table is bit-identical to a full rebuild (pinned by property
-    /// tests), so this knob changes wall-clock cost only; `false` forces
-    /// the legacy full rebuild on every migration.
+    /// When true (the default), a migration leaves the routing table as
+    /// it is unless a moved task is in a local-or-shuffle group: rows
+    /// name consumer tasks only, and each transfer derives its link class
+    /// from the endpoints' current placement, so moving a task changes
+    /// no other row. The result is bit-identical to a full rebuild
+    /// (pinned by property tests), so this knob changes wall-clock cost
+    /// only; `false` forces a full rebuild on every migration.
     pub incremental_routing: bool,
     /// When true, the engine evaluates its accounting invariants — the
     /// replay-plane drain invariant
@@ -143,7 +144,7 @@ impl SimConfig {
         self
     }
 
-    /// Returns the configuration with incremental routing patches
+    /// Returns the configuration with incremental routing
     /// enabled or disabled (`false` forces a full rebuild per migration;
     /// results are bit-identical either way).
     pub fn with_incremental_routing(mut self, incremental_routing: bool) -> Self {

@@ -16,9 +16,10 @@
 //! 3. **Plan** — ask the [`DeltaScheduler`] for a minimal-move migration
 //!    plan against the *live* scheduling state — no reschedule from
 //!    scratch, every unmoved task keeps its slot and its routes. When
-//!    the plan is applied mid-run, the engine patches only the moved
-//!    tasks' routing rows (see [`SimConfig::incremental_routing`]), so
-//!    applying a small plan costs O(moved·degree), not O(tasks²).
+//!    the plan is applied mid-run, the engine updates only the moved
+//!    tasks' placement; routing rows name consumer tasks, not links,
+//!    so none of them changes (see [`SimConfig::incremental_routing`])
+//!    and applying a plan costs O(moves).
 //! 4. **Compare** — run the full horizon three ways from the same
 //!    initial placement: untouched (*static*), with the minimal-move
 //!    plan applied mid-run (*adaptive*), and with a full

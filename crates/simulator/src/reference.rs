@@ -93,7 +93,7 @@ impl ReferenceSimulation {
                 .declare_sink(topology.id().as_str(), sink.id().as_str());
         }
         self.build
-            .append_topology(&self.index, self.cluster.costs(), topology, assignment);
+            .append_topology(&self.index, topology, assignment);
     }
 
     /// Runs the simulation to completion and reports.

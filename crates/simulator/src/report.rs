@@ -175,7 +175,9 @@ pub struct SimDebugStats {
     pub root_pool_misses: u64,
     /// High-water mark of simultaneously in-flight tuple trees.
     pub max_live_roots: u64,
-    /// Precomputed routes in the routing table.
+    /// Routes in the routing table. Producer tasks of one component share
+    /// their rows (except under local-or-shuffle), so this counts each
+    /// component's consumer pools once, not once per producer task.
     pub route_entries: u64,
 }
 

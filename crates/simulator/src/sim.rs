@@ -3,10 +3,11 @@
 //! The steady-state event loop touches only dense structures prepared at
 //! build time by [`crate::build`]:
 //!
-//! * routing is a precomputed table — per producer task × output stream,
-//!   the grouping is already resolved to a target pool and each target to
-//!   its link path and latency, so emitting costs one RNG draw (for pick
-//!   groupings) and zero allocation;
+//! * routing is a precomputed table — per component × output stream,
+//!   the grouping is already resolved to a pool of consumer task ids, so
+//!   emitting costs one RNG draw (for pick groupings) and zero
+//!   allocation; each transfer derives its link class and latency from
+//!   the endpoints' dense placement, which is all a migration changes;
 //! * in-flight tuple trees live in a generational slab with a free-list
 //!   pool ([`crate::slab`]), not a `HashMap`;
 //! * per-node CPU contention state is a dense `Vec` indexed by
@@ -21,7 +22,7 @@
 //! reference semantics (same RNG draw sequence, same event order, same
 //! float arithmetic).
 
-use crate::build::{ClusterIndex, GroupKind, LinkKind, Route, SimBuild, NO_SINK};
+use crate::build::{latency_table, ClusterIndex, GroupKind, Placement, SimBuild, NO_SINK};
 use crate::config::{NetworkModel, SimConfig};
 use crate::event::EventQueue;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -33,7 +34,7 @@ use crate::servers::{legacy_link_fabric, DenseCpuServer, LinkServer};
 use crate::slab::{RootSlab, RootState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rstorm_cluster::{Cluster, WorkerSlot};
+use rstorm_cluster::{Cluster, PlacementRelation, WorkerSlot};
 use rstorm_core::{Assignment, MigrationPlan};
 use rstorm_metrics::{CpuUtilizationTracker, StatisticServer, ThroughputReport, WindowedCounter};
 use rstorm_topology::Topology;
@@ -209,12 +210,13 @@ impl LatencyAccumulator {
     }
 }
 
-/// The per-task constants the hot loop reads, packed densely (the full
-/// [`crate::build::SimTaskSpec`] — strings, slots — is only consulted at
-/// the report boundary).
+/// The per-task values the hot loop reads, packed densely: the dense
+/// placement (which only a migration changes) and the task's constants.
+/// The full [`crate::build::SimTaskSpec`] — strings, slots — is only
+/// consulted at the report boundary.
 #[derive(Debug, Clone, Copy)]
 struct TaskStatic {
-    node: u32,
+    placement: Placement,
     cpu_slot: u32,
     sink_ctr: u32,
     tuple_bytes: u32,
@@ -383,7 +385,7 @@ impl Simulation {
             "assignment belongs to a different topology"
         );
         self.build
-            .append_topology(&self.index, self.cluster.costs(), topology, assignment);
+            .append_topology(&self.index, topology, assignment);
     }
 
     /// Runs the simulation to completion and reports.
@@ -432,11 +434,12 @@ pub struct CheckedReport {
 struct Engine {
     config: SimConfig,
     build: SimBuild,
-    /// Kept alive for migrations, which re-derive routing from the cost
-    /// matrix when placement changes mid-run.
     cluster: Arc<Cluster>,
     index: ClusterIndex,
     statics: Vec<TaskStatic>,
+    /// Propagation latency per [`PlacementRelation`], from the cluster's
+    /// `NetworkCosts`.
+    latency_ms: [f64; 4],
 
     queue: EventQueue<FastEv>,
     /// Pending `RootTimeout`s, in firing order. The tuple timeout is a
@@ -519,9 +522,9 @@ impl Engine {
             migrations: sim_migrations,
         } = sim;
 
-        // Borrow the cost matrix; nothing here outlives this scope and
-        // the per-route latencies were already baked in at build time.
+        // Borrow the cost matrix; nothing here outlives this scope.
         let costs = cluster.costs();
+        let latency_ms = latency_table(costs);
         let node_tasks = std::mem::take(&mut build.node_tasks);
         let cpus: Vec<DenseCpuServer> = index
             .cores
@@ -680,7 +683,7 @@ impl Engine {
             .specs
             .iter()
             .map(|s| TaskStatic {
-                node: s.node_idx as u32,
+                placement: Placement::of(s),
                 cpu_slot: s.cpu_slot,
                 sink_ctr: s.sink_ctr,
                 tuple_bytes: s.tuple_bytes,
@@ -705,6 +708,7 @@ impl Engine {
             cluster,
             index,
             statics,
+            latency_ms,
             queue: EventQueue::new(),
             timeouts: VecDeque::new(),
             cpus,
@@ -789,7 +793,7 @@ impl Engine {
     // ---- spout production --------------------------------------------
 
     fn try_spout(&mut self, i: usize) {
-        if self.node_down[self.statics[i].node as usize] {
+        if self.node_down[self.statics[i].placement.node as usize] {
             return; // Crashed worker: the recovery event re-kicks spouts.
         }
         if self.tasks[i].busy {
@@ -868,7 +872,8 @@ impl Engine {
         // `resume_at_ms` is 0.0 unless the task just migrated, so the
         // clamp is bit-neutral for untouched runs.
         let start = now.max(self.tasks[i].resume_at_ms);
-        let done = self.cpus[spec.node as usize].serve(start, spec.cpu_slot as usize, work);
+        let done =
+            self.cpus[spec.placement.node as usize].serve(start, spec.cpu_slot as usize, work);
         self.tasks[i].busy = true;
         self.queue.schedule(done, FastEv::work_done(i, batch));
     }
@@ -941,7 +946,8 @@ impl Engine {
         self.tasks[i].work_acc_ms += work;
         // Bit-neutral unless the task just migrated (see `try_spout`).
         let start = now.max(self.tasks[i].resume_at_ms);
-        let done = self.cpus[spec.node as usize].serve(start, spec.cpu_slot as usize, work);
+        let done =
+            self.cpus[spec.placement.node as usize].serve(start, spec.cpu_slot as usize, work);
         self.tasks[i].busy = true;
         self.queue.schedule(done, FastEv::work_done(i, batch));
     }
@@ -955,23 +961,28 @@ impl Engine {
             match group.kind {
                 GroupKind::Pick => {
                     let k = self.rng.gen_range(0..group.len as usize);
-                    let route = self.build.routing.routes[group.start as usize + k];
-                    self.transfer(from, route, batch);
+                    let to = self.build.routing.routes[group.start as usize + k];
+                    self.transfer(from, to as usize, batch);
                 }
                 GroupKind::All => {
                     for k in 0..group.len as usize {
-                        let route = self.build.routing.routes[group.start as usize + k];
-                        self.transfer(from, route, batch);
+                        let to = self.build.routing.routes[group.start as usize + k];
+                        self.transfer(from, to as usize, batch);
                     }
                 }
             }
         }
     }
 
-    fn transfer(&mut self, from: usize, route: Route, batch: Batch) {
+    /// Sends `batch` from task `from` to task `to` over the link path
+    /// their current placement implies.
+    fn transfer(&mut self, from: usize, to: usize, batch: Batch) {
         let now = self.queue.now();
-        let spec = self.statics[from];
-        let bytes = spec.tuple_bytes.saturating_mul(batch.tuples);
+        let bytes = self.statics[from].tuple_bytes.saturating_mul(batch.tuples);
+        let src = self.statics[from].placement;
+        let dst = self.statics[to].placement;
+        let relation = src.relation_to(dst);
+        let latency_ms = self.latency_ms[relation as usize];
 
         // An active rack partition severs new inter-rack sends touching
         // the partitioned rack *before* any link server is consulted:
@@ -979,74 +990,74 @@ impl Engine {
         // capacity, exactly as if the consumer's node had crashed. The
         // guard is a single integer compare when no partition is active,
         // keeping partition-free runs bit-identical.
-        if self.racks_partitioned > 0 && matches!(route.kind, LinkKind::InterRack) {
-            let src = self.index.rack_of_node[spec.node as usize];
-            let dst = self.index.rack_of_node[route.to_node as usize];
-            if self.rack_down[src] || self.rack_down[dst] {
-                // Mirror the crashed-consumer path: the batch takes its
-                // pending slot (as every transfer does) and is then lost,
-                // so the tuple tree fails through the ordinary timeout.
-                if let Some(root) = self.roots.get_mut(batch.root) {
-                    root.pending += 1;
-                }
-                self.lose_batch(batch);
-                return;
+        if self.racks_partitioned > 0
+            && relation == PlacementRelation::InterRack
+            && (self.rack_down[src.rack as usize] || self.rack_down[dst.rack as usize])
+        {
+            // Mirror the crashed-consumer path: the batch takes its
+            // pending slot (as every transfer does) and is then lost,
+            // so the tuple tree fails through the ordinary timeout.
+            if let Some(root) = self.roots.get_mut(batch.root) {
+                root.pending += 1;
             }
+            self.lose_batch(batch);
+            return;
         }
+
+        let local = matches!(
+            relation,
+            PlacementRelation::SameWorker | PlacementRelation::SameNode
+        );
 
         // The fair-share plane (opt-in) turns every non-local transfer
         // into a flow that shares link capacity max-min fairly with all
         // concurrent flows; delivery is scheduled when the plane hands
         // the serialized batch back. Under the plane a degradation
         // shapes *capacity*, so `link_extra_ms` is not added here.
-        if self.network.is_some() && !matches!(route.kind, LinkKind::Local) {
-            let src_node = spec.node as usize;
-            let dst_node = route.to_node as usize;
-            let src_rack = self.index.rack_of_node[src_node];
-            let dst_rack = self.index.rack_of_node[dst_node];
-            if let Some(root) = self.roots.get_mut(batch.root) {
-                root.pending += 1;
+        if !local {
+            if let Some(net) = self.network.as_mut() {
+                if let Some(root) = self.roots.get_mut(batch.root) {
+                    root.pending += 1;
+                }
+                let done = net.admit(
+                    now,
+                    src.node as usize,
+                    dst.node as usize,
+                    src.rack as usize,
+                    dst.rack as usize,
+                    relation == PlacementRelation::InterRack,
+                    f64::from(bytes),
+                    latency_ms,
+                    to as u32,
+                    batch.root,
+                    batch.tuples,
+                );
+                self.finish_net_transition(done);
+                return;
             }
-            let net = self.network.as_mut().expect("checked above");
-            let done = net.admit(
-                now,
-                src_node,
-                dst_node,
-                src_rack,
-                dst_rack,
-                matches!(route.kind, LinkKind::InterRack),
-                f64::from(bytes),
-                route.latency_ms,
-                route.to,
-                batch.root,
-                batch.tuples,
-            );
-            self.finish_net_transition(done);
-            return;
         }
 
         // `link_extra_ms` is 0.0 outside degradation windows; adding it
         // is then bit-neutral, preserving fault-free reference parity.
-        let arrival = match route.kind {
-            LinkKind::Local => now + route.latency_ms,
-            LinkKind::SameRack => {
-                let t1 = self.egress[spec.node as usize].serve(now, bytes);
-                let t2 = self.ingress[route.to_node as usize].serve(t1, bytes);
-                t2 + route.latency_ms + self.link_extra_ms
+        let arrival = match relation {
+            PlacementRelation::SameWorker | PlacementRelation::SameNode => now + latency_ms,
+            PlacementRelation::SameRack => {
+                let t1 = self.egress[src.node as usize].serve(now, bytes);
+                let t2 = self.ingress[dst.node as usize].serve(t1, bytes);
+                t2 + latency_ms + self.link_extra_ms
             }
-            LinkKind::InterRack => {
-                let t1 = self.egress[spec.node as usize].serve(now, bytes);
+            PlacementRelation::InterRack => {
+                let t1 = self.egress[src.node as usize].serve(now, bytes);
                 let t2 = self.uplink.serve(t1, bytes);
-                let t3 = self.ingress[route.to_node as usize].serve(t2, bytes);
-                t3 + route.latency_ms + self.link_extra_ms
+                let t3 = self.ingress[dst.node as usize].serve(t2, bytes);
+                t3 + latency_ms + self.link_extra_ms
             }
         };
 
         if let Some(root) = self.roots.get_mut(batch.root) {
             root.pending += 1;
         }
-        self.queue
-            .schedule(arrival, FastEv::deliver(route.to as usize, batch));
+        self.queue.schedule(arrival, FastEv::deliver(to, batch));
     }
 
     // ---- fair-share network plane ---------------------------------------
@@ -1112,7 +1123,7 @@ impl Engine {
             self.finish_pending(batch.root);
             return;
         }
-        if self.node_down[self.statics[i].node as usize] {
+        if self.node_down[self.statics[i].placement.node as usize] {
             // Arrived at a crashed worker: the batch is lost and its
             // root will fail through the timeout path.
             self.lose_batch(batch);
@@ -1310,15 +1321,17 @@ impl Engine {
     /// never consults the node), its queued batches carry over, and the
     /// task cold-starts on the destination once its pause window ends
     /// (`resume_at_ms` clamps the next service start). Memory demand and
-    /// thrash follow the task; the routing table is patched over the
-    /// moved tasks' rows (full rebuild when the patch declines or
-    /// [`SimConfig::incremental_routing`] is off).
+    /// thrash follow the task, and so does every later transfer's link
+    /// class, which reads the placement in `statics`. The routing table
+    /// only changes when a moved task is in a local-or-shuffle group
+    /// (or [`SimConfig::incremental_routing`] is off): then it is
+    /// rebuilt.
     fn apply_migration(&mut self, m: usize) {
         let migration = std::mem::take(&mut self.migrations[m]);
         let now = self.queue.now();
         let mut moved = Vec::new();
         for &(task, dest, ref slot) in &migration.moves {
-            let old = self.statics[task].node as usize;
+            let old = self.statics[task].placement.node as usize;
             if old == dest {
                 continue;
             }
@@ -1346,7 +1359,7 @@ impl Engine {
             spec.node_idx = dest;
             spec.rack_idx = self.index.rack_of_node[dest];
             spec.slot = slot.clone();
-            self.statics[task].node = dest as u32;
+            self.statics[task].placement = Placement::of(spec);
             self.statics[task].cpu_slot = new_local;
             self.tasks[task].resume_at_ms = now + migration.pause_ms;
             self.refresh_thrash(old);
@@ -1354,10 +1367,9 @@ impl Engine {
             moved.push(task);
         }
         if !moved.is_empty() {
-            let patched = self.config.incremental_routing
-                && self.build.patch_routing(self.cluster.costs(), &moved);
+            let patched = self.config.incremental_routing && self.build.patch_routing(&moved);
             if !patched {
-                self.build.rebuild_routing(self.cluster.costs());
+                self.build.rebuild_routing();
             }
         }
     }

@@ -7,14 +7,18 @@
 //! [`scale_cluster`] pair sized at [`SCALE_TASKS`] tasks on
 //! [`SCALE_NODES`] nodes over a [`SCALE_HORIZON_MS`] horizon, plus a
 //! *migration-churn* variant ([`churn_plans`]) that drives repeated
-//! [`DeltaScheduler`] migrations through a run — the scenario where the
-//! O(tasks²) full routing rebuild used to dominate and the incremental
-//! patch path (`SimConfig::incremental_routing`) now pays off.
+//! [`DeltaScheduler`] migrations through a run — the scenario where a
+//! full routing rebuild per migration used to dominate. Routing rows now
+//! name consumer tasks only, shared by every producer task of a
+//! component, so a migration moves placement and leaves the table alone
+//! (`SimConfig::incremental_routing`).
 //!
 //! The topology is a chain of roughly √tasks components of parallelism
-//! √tasks each: total routes grow as tasks^1.5 (≈ 1M for the 10k case)
-//! instead of tasks² (100M), which keeps the case runnable in CI while
-//! still dwarfing every other workload by two orders of magnitude.
+//! √tasks each: (producer, consumer) pairs grow as tasks^1.5 (≈ 1M for
+//! the 10k case) instead of tasks² (100M), which keeps the case runnable
+//! in CI while still dwarfing every other workload by two orders of
+//! magnitude. The shared routing table holds one row per (component,
+//! consumer task): ≈ 10k for the 10k case.
 //! Spouts are rate-limited to one tuple per second per task so that
 //! event-processing cost stays small relative to the migration
 //! bookkeeping the churn case is designed to measure.
