@@ -226,7 +226,7 @@ impl SimBuild {
             .collect();
         self.components += comp_of.len();
 
-        // Each component's consumers, resolved to global task indices.
+        // Each component's tasks, as global indices.
         let global_of: HashMap<&str, Vec<usize>> = task_set
             .by_component()
             .map(|(c, ids)| {
@@ -366,20 +366,17 @@ impl SimBuild {
         let targets = &group.targets;
         debug_assert!(!targets.is_empty(), "validated topologies have tasks");
         let start = self.routing.routes.len() as u32;
+        let all = targets.iter().map(|&t| t as u32);
         let kind = match &group.grouping {
             // Fields grouping with uniformly distributed keys is
             // statistically identical to shuffle at this granularity, so
             // both pick uniformly over the full target set.
             StreamGrouping::Shuffle | StreamGrouping::Fields(_) => {
-                self.routing
-                    .routes
-                    .extend(targets.iter().map(|&t| t as u32));
+                self.routing.routes.extend(all);
                 GroupKind::Pick
             }
             StreamGrouping::All => {
-                self.routing
-                    .routes
-                    .extend(targets.iter().map(|&t| t as u32));
+                self.routing.routes.extend(all);
                 GroupKind::All
             }
             StreamGrouping::Global => {
@@ -391,6 +388,8 @@ impl SimBuild {
                 for &t in targets {
                     self.los_member[t] = true;
                 }
+                // Prefer the consumers in the producer's own worker; with
+                // none there, fall back to all of them.
                 let from_slot = &self.specs[from].slot;
                 let local = targets
                     .iter()
@@ -398,9 +397,7 @@ impl SimBuild {
                     .map(|&t| t as u32);
                 self.routing.routes.extend(local);
                 if self.routing.routes.len() as u32 == start {
-                    self.routing
-                        .routes
-                        .extend(targets.iter().map(|&t| t as u32));
+                    self.routing.routes.extend(all);
                 }
                 GroupKind::Pick
             }

@@ -1004,37 +1004,36 @@ impl Engine {
             return;
         }
 
-        let local = matches!(
-            relation,
-            PlacementRelation::SameWorker | PlacementRelation::SameNode
-        );
-
         // The fair-share plane (opt-in) turns every non-local transfer
         // into a flow that shares link capacity max-min fairly with all
         // concurrent flows; delivery is scheduled when the plane hands
         // the serialized batch back. Under the plane a degradation
         // shapes *capacity*, so `link_extra_ms` is not added here.
-        if !local {
-            if let Some(net) = self.network.as_mut() {
-                if let Some(root) = self.roots.get_mut(batch.root) {
-                    root.pending += 1;
-                }
-                let done = net.admit(
-                    now,
-                    src.node as usize,
-                    dst.node as usize,
-                    src.rack as usize,
-                    dst.rack as usize,
-                    relation == PlacementRelation::InterRack,
-                    f64::from(bytes),
-                    latency_ms,
-                    to as u32,
-                    batch.root,
-                    batch.tuples,
-                );
-                self.finish_net_transition(done);
-                return;
+        if self.network.is_some()
+            && !matches!(
+                relation,
+                PlacementRelation::SameWorker | PlacementRelation::SameNode
+            )
+        {
+            if let Some(root) = self.roots.get_mut(batch.root) {
+                root.pending += 1;
             }
+            let net = self.network.as_mut().expect("checked above");
+            let done = net.admit(
+                now,
+                src.node as usize,
+                dst.node as usize,
+                src.rack as usize,
+                dst.rack as usize,
+                relation == PlacementRelation::InterRack,
+                f64::from(bytes),
+                latency_ms,
+                to as u32,
+                batch.root,
+                batch.tuples,
+            );
+            self.finish_net_transition(done);
+            return;
         }
 
         // `link_extra_ms` is 0.0 outside degradation windows; adding it

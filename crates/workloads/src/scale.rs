@@ -7,10 +7,10 @@
 //! [`scale_cluster`] pair sized at [`SCALE_TASKS`] tasks on
 //! [`SCALE_NODES`] nodes over a [`SCALE_HORIZON_MS`] horizon, plus a
 //! *migration-churn* variant ([`churn_plans`]) that drives repeated
-//! [`DeltaScheduler`] migrations through a run — the scenario where a
-//! full routing rebuild per migration used to dominate. Routing rows now
-//! name consumer tasks only, shared by every producer task of a
-//! component, so a migration moves placement and leaves the table alone
+//! [`DeltaScheduler`] migrations through a run, to measure what a
+//! migration costs the engine. Routing rows name consumer tasks only,
+//! shared by every producer task of a component, so a migration moves
+//! placement and leaves the table alone
 //! (`SimConfig::incremental_routing`).
 //!
 //! The topology is a chain of roughly √tasks components of parallelism
