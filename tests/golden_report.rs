@@ -5,22 +5,32 @@
 //! the report boundary shows up as a diff here, even if it is too small
 //! to fail a statistical assertion.
 //!
+//! The `scenario_*` pins do the same one level up, for the chaos
+//! harness: the report JSON plus the derived recovery observations, the
+//! control-plane events and the reconciliation audit, each in its `Debug`
+//! form (which prints every float's shortest round-trip digits).
+//!
 //! To bless an *intentional* behaviour change, regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test golden_report` and review the
 //! diff like any other code change.
 
 use rstorm::prelude::*;
+use rstorm::sim::{
+    run_control_outage, run_fault_plan_with, ControlOutageConfig, InvariantViolation,
+    ReconcileAudit,
+};
 use rstorm::workloads::cases::fig8_cases;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-fn golden_path(name: &str) -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{name}.json"))
+        .join(file)
 }
 
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
+fn check_golden(file: &str, actual: &str) {
+    let path = golden_path(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, actual).expect("write golden file");
         return;
@@ -33,7 +43,7 @@ fn check_golden(name: &str, actual: &str) {
     });
     assert!(
         expected == actual,
-        "{name}: report drifted from {}.\n\
+        "{file}: output drifted from {}.\n\
          If the change is intentional, regenerate with UPDATE_GOLDEN=1 \
          and review the diff.\n--- expected ---\n{expected}\n--- actual ---\n{actual}",
         path.display()
@@ -56,7 +66,7 @@ fn linear_net_quick_report_is_stable() {
     let mut sim = Simulation::new(case.cluster, SimConfig::quick());
     sim.add_topology(&case.topology, &assignment);
     let report = sim.run();
-    check_golden("linear_net_quick", &report.to_json());
+    check_golden("linear_net_quick.json", &report.to_json());
 }
 
 /// Pins the migration path: a small scale chain under synthetic churn,
@@ -74,7 +84,7 @@ fn scale_churn_report_is_stable() {
     sim.add_topology(&topology, &assignment);
     schedule_churn(&mut sim, &plans, HORIZON_MS);
     let report = sim.run();
-    check_golden("scale_churn", &report.to_json());
+    check_golden("scale_churn.json", &report.to_json());
 }
 
 /// Pins the fair-share fabric under faults: an even (rack-spreading)
@@ -104,5 +114,131 @@ fn linear_net_fair_faults_report_is_stable() {
             .degrade_links(30_000.0, 40_000.0, 5.0),
     );
     let report = sim.run();
-    check_golden("linear_net_fair_faults", &report.to_json());
+    check_golden("linear_net_fair_faults.json", &report.to_json());
+}
+
+/// The fig8 Linear network-bound case with the node hosting its first
+/// R-Storm-placed task — the victim whose loss displaces the topology.
+fn linear_net_with_host() -> (Arc<Cluster>, Topology, String) {
+    let case = fig8_cases()
+        .into_iter()
+        .find(|c| c.name == "linear_net")
+        .expect("linear_net case exists");
+    let assignment = RStormScheduler::new()
+        .schedule(
+            &case.topology,
+            &case.cluster,
+            &mut GlobalState::new(&case.cluster),
+        )
+        .expect("linear_net is feasible");
+    let host = assignment.iter().next().unwrap().1.node.as_str().to_owned();
+    (Arc::new(case.cluster), case.topology, host)
+}
+
+/// One harness run's pinned text: every output of the scenario that is
+/// a pure function of its inputs.
+fn scenario_pin(
+    report: &SimReport,
+    violations: &[InvariantViolation],
+    observations: &RecoveryObservations,
+    events: &[RecoveryEvent],
+    reconciliation: Option<&ReconcileAudit>,
+) -> String {
+    let mut out = format!("report: {}\n", report.to_json());
+    out.push_str(&format!("violations: {violations:?}\n"));
+    out.push_str(&format!("observations: {observations:?}\n"));
+    out.push_str("events:\n");
+    for event in events {
+        out.push_str(&format!("  {event:?}\n"));
+    }
+    out.push_str(&format!("reconciliation: {reconciliation:?}\n"));
+    out
+}
+
+/// Crash-then-recover on linear_net: the victim's workers return at the
+/// first reschedule.
+#[test]
+fn scenario_crash_recover_is_stable() {
+    let (cluster, topology, host) = linear_net_with_host();
+    let mut cfg = ChaosConfig::new(host, 20_000.0, 35_000.0);
+    cfg.sim = SimConfig::quick();
+    let out = run_crash_recover(&cluster, &topology, &cfg);
+    let pin = scenario_pin(&out.report, &[], &out.observations, &out.events, None);
+    check_golden("scenario_crash_recover.txt", &pin);
+}
+
+/// A journaled Nimbus outage that starts 2 s before the victim crashes,
+/// so only the successor can see the silence.
+#[test]
+fn scenario_nimbus_outage_is_stable() {
+    let (cluster, topology, host) = linear_net_with_host();
+    let sim = SimConfig::quick().with_max_replays(8);
+    let recovery = RecoveryConfig {
+        journal: true,
+        ..RecoveryConfig::default()
+    };
+    let mut cfg = ControlOutageConfig::new(host.clone(), 20_000.0, 50_000.0, 18_000.0, 12_000.0);
+    cfg.sim = sim.clone();
+    cfg.recovery = recovery.clone();
+    let out = run_control_outage(&cluster, &topology, &cfg).unwrap();
+    // The audit comes from the fault-plan harness over the same control
+    // windows; its failover fields must match the outage harness's.
+    let plan = FaultPlan::new()
+        .crash_node(20_000.0, &host)
+        .recover_node(50_000.0, &host)
+        .nimbus_crash(18_000.0, 12_000.0);
+    let audit = run_fault_plan_with(
+        &cluster,
+        &topology,
+        &plan,
+        &sim,
+        &recovery,
+        &RStormScheduler::new(),
+    )
+    .unwrap()
+    .reconciliation
+    .expect("a Nimbus crash yields an audit");
+    assert_eq!(audit.time_to_reassume_ms, out.time_to_reassume_ms);
+    assert_eq!(audit.decisions_replayed, out.decisions_replayed);
+    let pin = scenario_pin(
+        &out.report,
+        &[],
+        &out.observations,
+        &out.events,
+        Some(&audit),
+    );
+    check_golden("scenario_nimbus_outage.txt", &pin);
+}
+
+/// A composed plan through the checked engine: a flap storm on the host,
+/// then its rack partitioned, then the control channel lost long enough
+/// to declare every node dead.
+#[test]
+fn scenario_fault_plan_is_stable() {
+    let (cluster, topology, host) = linear_net_with_host();
+    let rack = cluster.rack_of(&host).unwrap().as_str().to_owned();
+    let plan = FaultPlan::new()
+        .flap_storm(10_000.0, &host, 3, 2_000.0, 3_000.0)
+        .partition_rack(35_000.0, 45_000.0, rack)
+        .lose_control_channel(48_000.0, 52_000.0);
+    let sim = SimConfig::quick()
+        .with_max_replays(8)
+        .with_check_invariants(true);
+    let out = run_fault_plan_with(
+        &cluster,
+        &topology,
+        &plan,
+        &sim,
+        &RecoveryConfig::default(),
+        &RStormScheduler::new(),
+    )
+    .unwrap();
+    let pin = scenario_pin(
+        &out.report,
+        &out.violations,
+        &out.observations,
+        &out.events,
+        out.reconciliation.as_ref(),
+    );
+    check_golden("scenario_fault_plan.txt", &pin);
 }
