@@ -418,7 +418,7 @@ mod sim {
     }
 }
 
-/// One crash-then-recover scenario (`rstorm_sim::run_crash_recover`) on
+/// One crash-then-recover scenario (`rstorm_sim::run_scenario`) on
 /// the fig8 Linear network-bound case and the Yahoo PageLoad layout.
 /// Two gates run per case before anything is timed:
 ///
@@ -439,11 +439,14 @@ mod chaos {
     use rstorm_bench::schedule_fresh;
     use rstorm_core::{verify_plan, RStormScheduler, RecoveryConfig};
     use rstorm_sim::{
-        run_crash_recover, ChaosConfig, FaultPlan, ReferenceSimulation, SimConfig, Simulation,
+        run_scenario, ChaosConfig, FaultPlan, ReferenceSimulation, SimConfig, Simulation,
     };
     use rstorm_workloads::cases::WorkloadCase;
     use std::sync::Arc;
     use std::time::Duration;
+
+    const CRASH_AT_MS: f64 = 20_000.0;
+    const HEAL_AT_MS: f64 = 35_000.0;
 
     fn run_case(case: &WorkloadCase, budget: Duration) -> Row {
         let cluster = Arc::new(case.cluster.clone());
@@ -466,10 +469,11 @@ mod chaos {
         // The scenario: crash the node hosting tasks a third of the way
         // in, heal it 15 s later.
         let victim = assignment.iter().next().unwrap().1.node.as_str().to_owned();
-        let mut cfg = ChaosConfig::new(victim, 20_000.0, 35_000.0);
+        let mut cfg = ChaosConfig::new(&victim, CRASH_AT_MS, HEAL_AT_MS);
         cfg.sim = config.clone();
         cfg.recovery = RecoveryConfig::default();
-        let out = run_crash_recover(&cluster, &case.topology, &cfg);
+        let out = run_scenario(&cluster, &case.topology, &cfg, &RStormScheduler::new())
+            .expect("chaos case runs");
 
         // Recovery gate: detected, fully re-placed, clean plan.
         let obs = out.observations;
@@ -490,7 +494,7 @@ mod chaos {
             || {
                 let mut sim = Simulation::new(Arc::clone(&cluster), config.clone());
                 sim.add_topology(&case.topology, &assignment);
-                sim.set_fault_plan(sim_plan(&cfg, obs.time_to_detect_ms));
+                sim.set_fault_plan(sim_plan(&victim, obs.time_to_detect_ms));
                 sim
             },
             |sim| {
@@ -532,11 +536,11 @@ mod chaos {
     /// The data-plane fault plan of the scenario, for re-timing: crash at
     /// the configured time, workers back once the control plane
     /// re-placed.
-    fn sim_plan(cfg: &ChaosConfig, time_to_detect_ms: f64) -> FaultPlan {
-        let mut plan = FaultPlan::new().crash_node(cfg.crash_at_ms, &cfg.victim);
-        let resched_at = cfg.crash_at_ms + time_to_detect_ms;
-        if resched_at > cfg.crash_at_ms {
-            plan = plan.recover_node(resched_at, &cfg.victim);
+    fn sim_plan(victim: &str, time_to_detect_ms: f64) -> FaultPlan {
+        let mut plan = FaultPlan::new().crash_node(CRASH_AT_MS, victim);
+        let resched_at = CRASH_AT_MS + time_to_detect_ms;
+        if resched_at > CRASH_AT_MS {
+            plan = plan.recover_node(resched_at, victim);
         }
         plan
     }
@@ -1349,8 +1353,8 @@ mod network {
     }
 }
 
-/// Fixed Nimbus-outage scenarios through `run_control_outage` and the
-/// two-plane fault-plan harness, on the split workload:
+/// Fixed Nimbus-outage scenarios through `rstorm_sim::run_scenario`, on
+/// the split workload:
 ///
 /// * **Failover row** — the victim crashes *while Nimbus is down*, so
 ///   no incumbent ever observes the silence. A journaled successor
@@ -1364,15 +1368,15 @@ mod network {
 ///   declaration and the reschedule from the journal, without declaring
 ///   the victim dead a second time.
 ///
-/// Both composed scenarios are also run through `run_fault_plan_with`
-/// so the reconciliation audit (`rstorm_sim::ReconcileAudit`) checks
-/// convergence and placement integrity.
+/// Both composed scenarios are also run as bare fault plans (no victim
+/// revival) so the reconciliation audit (`rstorm_sim::ReconcileAudit`)
+/// checks convergence and placement integrity.
 mod control {
     use rstorm_bench::harness::Row;
     use rstorm_cluster::Cluster;
-    use rstorm_core::{schedulers, GlobalState, RecoveryConfig};
+    use rstorm_core::{schedulers, GlobalState};
     use rstorm_sim::{
-        run_control_outage, run_fault_plan_with, ControlOutageConfig, FaultPlan, SimConfig,
+        run_scenario, ChaosConfig, ChaosOutcome, FaultPlan, ReconcileAudit, SimConfig,
     };
     use rstorm_topology::{TaskSet, Topology};
     use std::time::Instant;
@@ -1437,29 +1441,31 @@ mod control {
         sim
     }
 
+    /// The failover audit of a control-fault scenario.
+    fn audit_of(out: &ChaosOutcome) -> ReconcileAudit {
+        out.reconciliation
+            .expect("control-fault scenarios carry a reconciliation audit")
+    }
+
     pub fn rows() -> Vec<Row> {
         let (cluster, topology) = super::split_workload("control-smoke");
         let victim = sink_node(&cluster, &topology);
         let scheduler = schedulers::by_name("rstorm").expect("rstorm scheduler exists");
+        let run = |cfg: &ChaosConfig| run_scenario(&cluster, &topology, cfg, &*scheduler);
 
         // -- Failover row: crash masked by the outage. --
-        let mut cfg = ControlOutageConfig::new(
-            &victim,
-            FAILOVER_CRASH_AT_MS,
-            FAILOVER_HEAL_AT_MS,
-            FAILOVER_NIMBUS_AT_MS,
-            FAILOVER_NIMBUS_DOWN_MS,
-        );
+        let mut cfg = ChaosConfig::new(&victim, FAILOVER_CRASH_AT_MS, FAILOVER_HEAL_AT_MS)
+            .with_nimbus_outage(FAILOVER_NIMBUS_AT_MS, FAILOVER_NIMBUS_DOWN_MS);
         cfg.sim = failover_sim();
         cfg.recovery.journal = true;
         let t0 = Instant::now();
-        let journaled = run_control_outage(&cluster, &topology, &cfg).expect("failover case runs");
+        let journaled = run(&cfg).expect("failover case runs");
         let failover_ns = t0.elapsed().as_nanos() as u64;
+        let failover_reassume_ms = audit_of(&journaled).time_to_reassume_ms;
         assert!(
-            journaled.time_to_reassume_ms >= FAILOVER_NIMBUS_DOWN_MS,
-            "successor reassumed after {} ms of a {} ms outage",
-            journaled.time_to_reassume_ms,
-            FAILOVER_NIMBUS_DOWN_MS
+            failover_reassume_ms >= FAILOVER_NIMBUS_DOWN_MS,
+            "successor reassumed after {failover_reassume_ms} ms of a \
+             {FAILOVER_NIMBUS_DOWN_MS} ms outage"
         );
         assert!(
             journaled.observations.time_to_detect_ms > 0.0,
@@ -1476,7 +1482,7 @@ mod control {
         // and the replay budget drains dry.
         let mut cold_cfg = cfg.clone();
         cold_cfg.recovery.journal = false;
-        let cold = run_control_outage(&cluster, &topology, &cold_cfg).expect("cold twin runs");
+        let cold = run(&cold_cfg).expect("cold twin runs");
         assert_eq!(
             cold.observations.time_to_detect_ms, -1.0,
             "a cold successor cannot detect a pre-failover silence"
@@ -1489,22 +1495,18 @@ mod control {
         );
 
         // -- Replay row: decisions journaled before the outage. --
-        let mut cfg = ControlOutageConfig::new(
-            &victim,
-            REPLAY_CRASH_AT_MS,
-            REPLAY_HEAL_AT_MS,
-            REPLAY_NIMBUS_AT_MS,
-            REPLAY_NIMBUS_DOWN_MS,
-        );
+        let mut cfg = ChaosConfig::new(&victim, REPLAY_CRASH_AT_MS, REPLAY_HEAL_AT_MS)
+            .with_nimbus_outage(REPLAY_NIMBUS_AT_MS, REPLAY_NIMBUS_DOWN_MS);
         cfg.sim = SimConfig::quick().with_max_replays(8);
         cfg.recovery.journal = true;
         let t0 = Instant::now();
-        let replayed = run_control_outage(&cluster, &topology, &cfg).expect("replay case runs");
+        let replayed = run(&cfg).expect("replay case runs");
         let replay_ns = t0.elapsed().as_nanos() as u64;
+        let replay_audit = audit_of(&replayed);
         assert!(
-            replayed.decisions_replayed >= 2,
+            replay_audit.decisions_replayed >= 2,
             "expected the declare + reschedule records in the journal, replayed {}",
-            replayed.decisions_replayed
+            replay_audit.decisions_replayed
         );
         assert_eq!(
             replayed.report.zero_loss_ratio(),
@@ -1513,10 +1515,6 @@ mod control {
         );
 
         // -- Reconciliation audits over both composed scenarios. --
-        let journal_on = RecoveryConfig {
-            journal: true,
-            ..RecoveryConfig::default()
-        };
         let plans = [
             FaultPlan::new()
                 .crash_node(FAILOVER_CRASH_AT_MS, &victim)
@@ -1529,19 +1527,11 @@ mod control {
         ];
         let mut audits = 0_u32;
         let mut audits_passed = 0_u32;
-        for plan in &plans {
-            let out = run_fault_plan_with(
-                &cluster,
-                &topology,
-                plan,
-                &SimConfig::quick().with_max_replays(8),
-                &journal_on,
-                &*scheduler,
-            )
-            .expect("audit plan runs");
-            let audit = out
-                .reconciliation
-                .expect("control-fault plans carry a reconciliation audit");
+        for plan in plans {
+            let mut cfg = ChaosConfig::from_plan(plan);
+            cfg.sim = SimConfig::quick().with_max_replays(8);
+            cfg.recovery.journal = true;
+            let audit = audit_of(&run(&cfg).expect("audit plan runs"));
             audits += 1;
             let passed = audit.converged && !audit.double_placed_or_orphaned;
             assert!(
@@ -1556,14 +1546,14 @@ mod control {
         vec![
             Row::new("control/failover")
                 .with("wall_ns", failover_ns)
-                .with("time_to_reassume_ms", journaled.time_to_reassume_ms)
+                .with("time_to_reassume_ms", failover_reassume_ms)
                 .with("journaled_zero_loss", journaled_zero_loss)
                 .with("cold_zero_loss", cold_zero_loss)
                 .with("failover_zero_loss", journaled_zero_loss),
             Row::new("control/replay")
                 .with("wall_ns", replay_ns)
-                .with("time_to_reassume_ms", replayed.time_to_reassume_ms)
-                .with("decisions_replayed", replayed.decisions_replayed)
+                .with("time_to_reassume_ms", replay_audit.time_to_reassume_ms)
+                .with("decisions_replayed", replay_audit.decisions_replayed)
                 .with("reconciliation_convergence", convergence),
         ]
     }

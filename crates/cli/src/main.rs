@@ -17,9 +17,8 @@ use rstorm_core::schedulers::EvenScheduler;
 use rstorm_core::{schedulers, verify_plan, GlobalState, RStormScheduler, Scheduler};
 use rstorm_metrics::text_table;
 use rstorm_sim::{
-    run_adaptive_rebalance, run_control_outage, run_crash_recover, run_fuzz_campaign, run_sweep,
-    AdaptiveConfig, ChaosConfig, ControlOutageConfig, FuzzConfig, NetworkModel, SeedRange,
-    SimConfig, SimReport, Simulation,
+    run_adaptive_rebalance, run_fuzz_campaign, run_scenario, run_sweep, AdaptiveConfig,
+    ChaosConfig, FuzzConfig, NetworkModel, SeedRange, SimConfig, SimReport, Simulation,
 };
 use rstorm_spec::{parse_cluster, parse_topology};
 use rstorm_topology::Topology;
@@ -308,9 +307,12 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     };
     let crash_at_s = parse_s("crash-at-s", duration_s / 3.0)?;
     let heal_at_s = parse_s("heal-at-s", crash_at_s + duration_s / 4.0)?;
-    if !(crash_at_s >= 0.0 && crash_at_s < heal_at_s) {
+    let (crash_at_ms, heal_at_ms) = (crash_at_s * 1000.0, heal_at_s * 1000.0);
+    // Checked in milliseconds, so `inf`, `NaN` and seconds whose
+    // millisecond value overflows are all rejected.
+    if !(crash_at_ms >= 0.0 && crash_at_ms < heal_at_ms && heal_at_ms.is_finite()) {
         return Err(format!(
-            "need 0 <= --crash-at-s ({crash_at_s}) < --heal-at-s ({heal_at_s})"
+            "need finite 0 <= --crash-at-s ({crash_at_s}) < --heal-at-s ({heal_at_s})"
         ));
     }
 
@@ -328,9 +330,6 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
             host.1.node.as_str().to_owned()
         }
     };
-    if !cluster.nodes().iter().any(|n| n.id().as_str() == victim) {
-        return Err(format!("--victim `{victim}` is not a node of the cluster"));
-    }
 
     // `--replay` turns on guaranteed processing with a default budget of
     // 3 re-emissions per root; `--max-replays` sets the budget exactly.
@@ -342,9 +341,12 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
         None => 0,
     };
 
-    // `--nimbus-down-ms` switches to the control-plane outage scenario:
-    // Nimbus goes dark 2 s before the crash, so the victim's silence
-    // starts while nobody is watching.
+    let mut scenario = ChaosConfig::new(victim.clone(), crash_at_ms, heal_at_ms);
+    scenario.sim = config.with_max_replays(max_replays);
+    // `--nimbus-down-ms` adds a control-plane outage: Nimbus goes dark
+    // 2 s before the crash, so the victim's silence starts while nobody
+    // is watching.
+    let mut nimbus_note = String::new();
     if let Some(raw) = flags.get("nimbus-down-ms") {
         let nimbus_down_ms: f64 = raw
             .parse()
@@ -354,91 +356,24 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 format!("invalid --nimbus-down-ms `{raw}` (need a positive duration)")
             })?;
         let journal = journal_flag(flags, true)?;
-        let mut outage = ControlOutageConfig::new(
-            victim.clone(),
-            crash_at_s * 1000.0,
-            heal_at_s * 1000.0,
-            (crash_at_s * 1000.0 - 2_000.0).max(0.0),
-            nimbus_down_ms,
+        let nimbus_at_ms = (crash_at_ms - 2_000.0).max(0.0);
+        scenario = scenario.with_nimbus_outage(nimbus_at_ms, nimbus_down_ms);
+        scenario.recovery.journal = journal;
+        nimbus_note = format!(
+            ", Nimbus down {:.0}..{:.0} s, journal {}",
+            nimbus_at_ms / 1000.0,
+            (nimbus_at_ms + nimbus_down_ms) / 1000.0,
+            if journal { "on" } else { "off" }
         );
-        outage.sim = config.with_max_replays(max_replays);
-        outage.recovery.journal = journal;
-        let out = run_control_outage(&cluster, &topology, &outage).map_err(|e| e.to_string())?;
-
-        println!(
-            "control outage on `{}`: crash {victim} at {crash_at_s:.0} s, Nimbus down \
-             {:.0}..{:.0} s, journal {} (sim {duration_s:.0} s{})\n",
-            topology.id(),
-            outage.nimbus_down_at_ms / 1000.0,
-            (outage.nimbus_down_at_ms + nimbus_down_ms) / 1000.0,
-            if journal { "on" } else { "off" },
-            if max_replays > 0 {
-                format!(", replay budget {max_replays}")
-            } else {
-                String::new()
-            }
-        );
-        for event in &out.events {
-            println!("  {event:?}");
-        }
-        println!();
-        if out.time_to_reassume_ms >= 0.0 {
-            println!(
-                "time to reassume: {:.0} ms after Nimbus went down",
-                out.time_to_reassume_ms
-            );
-        } else {
-            println!("time to reassume: never (the outage outlived the run)");
-        }
-        println!("journal decisions replayed: {}", out.decisions_replayed);
-        let obs = out.observations;
-        if obs.time_to_detect_ms >= 0.0 {
-            println!(
-                "time to detect: {:.0} ms after the crash",
-                obs.time_to_detect_ms
-            );
-        } else {
-            println!("time to detect: never (within the run)");
-        }
-        if obs.time_to_recover_ms >= 0.0 {
-            println!(
-                "time to full re-placement: {:.0} ms after the crash",
-                obs.time_to_recover_ms
-            );
-        } else {
-            println!("time to full re-placement: never (within the run)");
-        }
-        if max_replays > 0 {
-            println!(
-                "replay: {} roots re-emitted; {} tuples quarantined; zero-loss ratio {:.3}",
-                obs.roots_replayed,
-                obs.tuples_quarantined,
-                out.report.zero_loss_ratio()
-            );
-        }
-        println!();
-        print_report(&topology, &out.report);
-
-        let violations = verify_plan(&out.plan, &[&topology], &cluster);
-        if violations.is_empty() {
-            println!("final plan verified: no constraint violations");
-            return Ok(());
-        }
-        let mut lines = vec![format!("final plan has {} violation(s):", violations.len())];
-        lines.extend(violations.iter().map(|v| format!("  - {v}")));
-        return Err(lines.join("\n"));
-    }
-    if flags.contains_key("journal") {
+    } else if flags.contains_key("journal") {
         return Err("--journal requires --nimbus-down-ms".into());
     }
-
-    let mut chaos = ChaosConfig::new(victim.clone(), crash_at_s * 1000.0, heal_at_s * 1000.0);
-    chaos.sim = config.with_max_replays(max_replays);
-    let out = run_crash_recover(&cluster, &topology, &chaos);
+    let out = run_scenario(&cluster, &topology, &scenario, &RStormScheduler::new())
+        .map_err(|e| e.to_string())?;
 
     println!(
-        "chaos scenario on `{}`: crash {victim} at {crash_at_s:.0} s, heal at {heal_at_s:.0} s \
-         (sim {duration_s:.0} s{})\n",
+        "chaos scenario on `{}`: crash {victim} at {crash_at_s:.0} s, heal at {heal_at_s:.0} s\
+         {nimbus_note} (sim {duration_s:.0} s{})\n",
         topology.id(),
         if max_replays > 0 {
             format!(", replay budget {max_replays}")
@@ -449,8 +384,19 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     for event in &out.events {
         println!("  {event:?}");
     }
-    let obs = out.observations;
     println!();
+    if let Some(audit) = out.reconciliation {
+        if audit.time_to_reassume_ms >= 0.0 {
+            println!(
+                "time to reassume: {:.0} ms after Nimbus went down",
+                audit.time_to_reassume_ms
+            );
+        } else {
+            println!("time to reassume: never (the outage outlived the run)");
+        }
+        println!("journal decisions replayed: {}", audit.decisions_replayed);
+    }
+    let obs = out.observations;
     if obs.time_to_detect_ms >= 0.0 {
         println!(
             "time to detect: {:.0} ms after the crash",
@@ -1055,6 +1001,20 @@ mod tests {
         let err = chaos_cmd(&parse_flags(&bad_times).unwrap()).unwrap_err();
         assert!(err.contains("crash-at-s"), "{err}");
 
+        // Infinite times, with and without a Nimbus outage, and a crash
+        // time whose millisecond value overflows are typed errors, not
+        // panics.
+        for extra in [
+            &["--heal-at-s", "inf"][..],
+            &["--heal-at-s", "inf", "--nimbus-down-ms", "4000"],
+            &["--crash-at-s", "1e306"],
+        ] {
+            let mut args = base.clone();
+            args.extend(extra.iter().map(|a| (*a).to_owned()));
+            let err = chaos_cmd(&parse_flags(&args).unwrap()).unwrap_err();
+            assert!(err.contains("finite"), "{extra:?}: {err}");
+        }
+
         // Control-outage flags: a non-positive duration, a --journal
         // value that is neither on nor off, and --journal without the
         // outage all surface typed errors.
@@ -1077,6 +1037,39 @@ mod tests {
         stray_journal.extend(["--journal".to_owned(), "on".to_owned()]);
         let err = chaos_cmd(&parse_flags(&stray_journal).unwrap()).unwrap_err();
         assert!(err.contains("--nimbus-down-ms"), "{err}");
+    }
+
+    #[test]
+    fn chaos_reports_an_unplaceable_topology() {
+        // With an explicit victim nothing schedules before the harness,
+        // so the harness's own placement failure must surface as an
+        // error.
+        let dir = std::env::temp_dir().join("rstorm-cli-chaos-unplaceable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let topo = dir.join("t.spec");
+        let clus = dir.join("c.spec");
+        std::fs::write(
+            &topo,
+            "topology t\nspout s parallelism=1 cpu=20 mem=4096\n\
+             bolt k parallelism=1 cpu=20 mem=128 emit=0\n  subscribe s shuffle\n",
+        )
+        .unwrap();
+        std::fs::write(
+            &clus,
+            "cluster\nrack r0\n  node n0 cpu=100 mem=2048 slots=4\n  node n1 cpu=100 mem=2048 slots=4\n",
+        )
+        .unwrap();
+        let flags = parse_flags(&[
+            "--topology".into(),
+            topo.to_string_lossy().into_owned(),
+            "--cluster".into(),
+            clus.to_string_lossy().into_owned(),
+            "--victim".into(),
+            "n0".into(),
+        ])
+        .unwrap();
+        let err = chaos_cmd(&flags).unwrap_err();
+        assert!(err.contains("no initial placement"), "{err}");
     }
 
     #[test]

@@ -1,41 +1,42 @@
-//! The chaos harness: one crash-then-recover scenario, end to end.
+//! The chaos harness: one fault scenario, end to end, through both
+//! planes.
 //!
-//! [`run_crash_recover`] wires the workspace's two fault halves together
-//! for a single topology:
+//! [`run_scenario`] runs a [`ChaosConfig`] — a [`FaultPlan`] plus the
+//! simulation and recovery-loop knobs — against one topology:
 //!
 //! * **Control plane** — a [`RecoveryManager`] replay. The harness clones
-//!   the cluster, schedules the topology with [`RStormScheduler`], then
-//!   steps simulated time one heartbeat interval at a time. Every node
-//!   heartbeats except the victim while it is down
-//!   (`[crash_at_ms, heal_at_ms)`); the manager's ticks detect the
-//!   failure, re-place the displaced topology on the survivors (degraded
-//!   if it must) and upgrade the placement once the victim heals. The
-//!   collected [`RecoveryEvent`]s yield time-to-detect and
-//!   time-to-recover.
-//! * **Data plane** — a fault-injected [`Simulation`] of the *original*
-//!   assignment. The [`FaultPlan`] crashes the victim at `crash_at_ms`
-//!   and revives it when the control plane first re-placed the topology —
-//!   modelling Storm handing the displaced executors to replacement
-//!   workers at that moment. (The simulator replays one fixed assignment,
-//!   so "recovery" is the original workers coming back rather than a
-//!   mid-run re-placement; detection and re-placement latency still come
-//!   from the control-plane replay.) The run yields tuples lost and the
-//!   throughput-dip depth.
+//!   the cluster, places the topology with the given scheduler, then
+//!   steps simulated time one heartbeat interval at a time. A node is
+//!   silent while the plan has it crashed
+//!   ([`FaultPlan::node_down_windows`]) or its rack partitioned
+//!   ([`FaultPlan::rack_partition_windows`] — heartbeats cross racks to
+//!   reach the control loop). The manager's ticks detect the silence,
+//!   re-place the displaced topology on the survivors (degraded if it
+//!   must) and upgrade the placement once the nodes return. During a
+//!   [`FaultEvent::NimbusCrash`] window the manager neither observes nor
+//!   ticks; at the first tick after it a successor reassumes, replaying
+//!   the write-ahead [`rstorm_core::ControlJournal`] when
+//!   `recovery.journal` is on and starting cold otherwise. During a
+//!   [`FaultEvent::ControlLoss`] window it ticks but observes nothing.
+//! * **Data plane** — the plan injected into a checked [`Simulation`] of
+//!   the *initial* assignment ([`Simulation::run_checked`]), so
+//!   `sim.check_invariants` surfaces accounting violations in the
+//!   outcome. The run yields tuples lost and the throughput-dip depth.
 //!
-//! The control plane is itself a fault domain: [`run_control_outage`]
-//! crashes Nimbus mid-scenario (no detection, no rescheduling while it
-//! is down) and fails over to a successor that replays the
-//! write-ahead [`rstorm_core::ControlJournal`] — or starts cold when
-//! journaling is off — and [`run_fault_plan_with`] derives a
-//! [`ReconcileAudit`] whenever a plan carries
-//! [`FaultEvent::NimbusCrash`] / [`FaultEvent::ControlLoss`] atoms.
+//! The two planes are open-loop: the manager's re-placements never move
+//! a task in the simulated data plane. [`ChaosConfig::revive`] is the one
+//! stand-in for that: with it on, the victim's workers come back the
+//! moment the control plane first re-placed the topology (Storm handing
+//! the displaced executors to replacement workers), and the observations
+//! anchor on the victim's crash rather than the plan's first event.
 //!
-//! Both halves are deterministic, so the whole [`ChaosOutcome`] — report
-//! bits included — is a pure function of `(cluster, topology, config)`.
-//! Any migrations the scenario schedules move only task placement, which
-//! every later transfer reads (see [`SimConfig::incremental_routing`]);
-//! crash and recover themselves never touch the routing table —
-//! placement is unchanged, only liveness flips.
+//! The outcome's [`RecoveryObservations`] are derived once, from the
+//! control-plane events and the report; a [`ReconcileAudit`] joins them
+//! whenever the plan carries control-plane faults. Both planes are
+//! deterministic, so the whole [`ChaosOutcome`] — report bits included —
+//! is a pure function of `(cluster, topology, config, scheduler)`. Crash
+//! and recover never touch the routing table: placement is unchanged,
+//! only liveness flips.
 
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -43,8 +44,8 @@ use crate::report::{InvariantViolation, RecoveryObservations, SimReport};
 use crate::sim::{CheckedReport, Simulation};
 use rstorm_cluster::Cluster;
 use rstorm_core::{
-    Assignment, GlobalState, RStormScheduler, RecoveryConfig, RecoveryEvent, RecoveryManager,
-    ScheduleError, Scheduler, SchedulingPlan,
+    Assignment, GlobalState, RecoveryConfig, RecoveryEvent, RecoveryManager, ScheduleError,
+    Scheduler, SchedulingPlan,
 };
 use rstorm_topology::Topology;
 use std::collections::BTreeSet;
@@ -57,12 +58,8 @@ use std::sync::Arc;
 /// a campaign record the outcome and move on instead of aborting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaosError {
-    /// The scenario's victim names no node of the cluster.
-    UnknownVictim {
-        /// The configured victim.
-        victim: String,
-    },
-    /// A fault-plan event names no node of the cluster.
+    /// A fault-plan event (a crash victim included) names no node of the
+    /// cluster.
     UnknownNode {
         /// The unresolvable node name.
         node: String,
@@ -95,9 +92,6 @@ pub enum ChaosError {
 impl fmt::Display for ChaosError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::UnknownVictim { victim } => {
-                write!(f, "chaos victim `{victim}` is not a node of the cluster")
-            }
             Self::UnknownNode { node } => {
                 write!(f, "fault plan references unknown node `{node}`")
             }
@@ -117,25 +111,32 @@ impl fmt::Display for ChaosError {
 
 impl std::error::Error for ChaosError {}
 
-/// One crash-then-recover scenario: which node dies, when, and for how
-/// long, plus the simulation and recovery-loop knobs.
+/// One fault scenario: what goes wrong and when, plus the simulation and
+/// recovery-loop knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
-    /// The node to crash. Must exist in the cluster.
-    pub victim: String,
-    /// Simulation time of the crash, in milliseconds.
-    pub crash_at_ms: f64,
-    /// Simulation time the victim starts heartbeating again. Use a value
-    /// past `sim.sim_time_ms` for a crash that never heals.
-    pub heal_at_ms: f64,
+    /// The faults, data- and control-plane alike. Every node and rack it
+    /// names must exist in the cluster.
+    pub plan: FaultPlan,
+    /// Open-loop revival. When on, the victim — the node of the plan's
+    /// earliest crash — has its own recoveries replaced, in the data
+    /// plane only, by one at the control plane's first reschedule, and
+    /// the observations anchor on its crash. When off (or the plan
+    /// crashes no node) the data plane runs the plan as given and the
+    /// observations anchor on its first event.
+    pub revive: bool,
     /// Data-plane simulation parameters.
     pub sim: SimConfig,
-    /// Control-plane recovery-loop parameters.
+    /// Control-plane recovery-loop parameters — `recovery.journal`
+    /// selects journaled versus cold Nimbus failover.
     pub recovery: RecoveryConfig,
 }
 
 impl ChaosConfig {
-    /// A scenario with default simulation and recovery knobs.
+    /// One crash-then-recover scenario: `victim` crashes at `crash_at_ms`
+    /// and heartbeats again at `heal_at_ms` (use a value past
+    /// `sim.sim_time_ms` for a crash that never heals), with
+    /// [`Self::revive`] on and default simulation and recovery knobs.
     ///
     /// # Panics
     ///
@@ -149,45 +150,56 @@ impl ChaosConfig {
             crash_at_ms < heal_at_ms,
             "the victim must heal after it crashes, got crash={crash_at_ms} heal={heal_at_ms}"
         );
+        let victim = victim.into();
+        let plan = FaultPlan::new()
+            .crash_node(crash_at_ms, victim.clone())
+            .recover_node(heal_at_ms, victim);
         Self {
-            victim: victim.into(),
-            crash_at_ms,
-            heal_at_ms,
+            revive: true,
+            ..Self::from_plan(plan)
+        }
+    }
+
+    /// Runs `plan` as given ([`Self::revive`] off), with default
+    /// simulation and recovery knobs.
+    pub fn from_plan(plan: FaultPlan) -> Self {
+        Self {
+            plan,
+            revive: false,
             sim: SimConfig::default(),
             recovery: RecoveryConfig::default(),
         }
     }
+
+    /// Adds a Nimbus outage over `[at_ms, at_ms + down_ms)` (see
+    /// [`FaultPlan::nimbus_crash`]). The default recovery knobs fail over
+    /// cold; set `recovery.journal` for a journaled successor.
+    ///
+    /// # Panics
+    ///
+    /// As [`FaultPlan::nimbus_crash`].
+    #[must_use]
+    pub fn with_nimbus_outage(mut self, at_ms: f64, down_ms: f64) -> Self {
+        self.plan = self.plan.nimbus_crash(at_ms, down_ms);
+        self
+    }
 }
 
-/// Everything a crash-then-recover run produced.
+/// Everything a scenario run produced.
 #[derive(Debug, Clone)]
 pub struct ChaosOutcome {
     /// The fault-injected data-plane report, with
     /// [`SimReport::recovery`] populated.
     pub report: SimReport,
-    /// The control-plane recovery events, in occurrence order.
-    pub events: Vec<RecoveryEvent>,
-    /// The control plane's final scheduling plan — what the cluster runs
-    /// after detection, rescheduling and (if the victim healed in time)
-    /// the post-recovery upgrade.
-    pub plan: SchedulingPlan,
-    /// The derived recovery metrics (also embedded in `report`).
-    pub observations: RecoveryObservations,
-}
-
-/// Everything a generalized fault-plan run produced (see
-/// [`run_fault_plan_with`]).
-#[derive(Debug, Clone)]
-pub struct PlanOutcome {
-    /// The fault-injected data-plane report, with
-    /// [`SimReport::recovery`] populated.
-    pub report: SimReport,
     /// Invariant violations the checked engine observed — always empty
-    /// unless `sim_cfg.check_invariants` was on (the fuzzer's oracle
-    /// input).
+    /// unless `sim.check_invariants` was on (the fuzzer's oracle input).
     pub violations: Vec<InvariantViolation>,
     /// The control-plane recovery events, in occurrence order.
     pub events: Vec<RecoveryEvent>,
+    /// The control plane's final scheduling plan — what the cluster runs
+    /// after detection, rescheduling and (if the nodes returned in time)
+    /// the post-recovery upgrade.
+    pub plan: SchedulingPlan,
     /// The derived recovery metrics (also embedded in `report`).
     pub observations: RecoveryObservations,
     /// Post-failover reconciliation audit — `Some` exactly when the plan
@@ -198,8 +210,8 @@ pub struct PlanOutcome {
 
 /// What a successor's post-failover reconciliation looked like — the
 /// control-plane analog of [`RecoveryObservations`], derived by
-/// [`run_fault_plan_with`] whenever the plan carries Nimbus or
-/// control-channel faults.
+/// [`run_scenario`] whenever the plan carries Nimbus or control-channel
+/// faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconcileAudit {
     /// Latency from the first Nimbus outage's start to the first tick a
@@ -225,186 +237,108 @@ pub struct ReconcileAudit {
     pub double_placed_or_orphaned: bool,
 }
 
-/// Runs the crash-then-recover scenario described by `cfg` for one
-/// topology. See the module docs for the two-plane structure.
+/// Runs the scenario `cfg` describes for one topology. See the module
+/// docs for the two-plane structure. `scheduler` computes both the
+/// initial placement and every control-plane re-placement, so a
+/// scenario grid can compare recovery behavior across schedulers.
 ///
-/// Both the initial placement and the control plane's re-placements use
-/// [`RStormScheduler`]; [`run_crash_recover_with`] accepts any scheduler
-/// (the sweep harness grids over them).
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics if the topology does not fit the healthy cluster (the scenario
-/// needs a valid initial placement to disrupt) or if `cfg.victim` names
-/// an unknown node.
-pub fn run_crash_recover(
+/// [`ChaosError::UnknownNode`] / [`ChaosError::UnknownRack`] when the
+/// plan references names the cluster does not have, and
+/// [`ChaosError::InitialPlacement`] when the topology cannot place on the
+/// healthy cluster.
+pub fn run_scenario(
     cluster: &Arc<Cluster>,
     topology: &Topology,
     cfg: &ChaosConfig,
-) -> ChaosOutcome {
-    run_crash_recover_with(cluster, topology, cfg, &RStormScheduler::new())
+    scheduler: &(dyn Scheduler + '_),
+) -> Result<ChaosOutcome, ChaosError> {
+    let plan = &cfg.plan;
+    validate_names(cluster, plan)?;
+    let replay = replay_control_plane(
+        cluster,
+        topology,
+        plan,
+        &cfg.recovery,
+        scheduler,
+        cfg.sim.sim_time_ms,
+    )?;
+    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&replay.events);
+
+    // -- Data plane: the plan (revived, if asked) in a checked run. --
+    let victim = if cfg.revive { first_crash(plan) } else { None };
+    let data_plan = match victim {
+        Some((node, crash_at)) => revived(plan, node, crash_at, first_resched),
+        None => plan.clone(),
+    };
+    let mut sim = Simulation::new(Arc::clone(cluster), cfg.sim.clone());
+    sim.add_topology(topology, &replay.initial);
+    sim.set_fault_plan(data_plan);
+    let CheckedReport {
+        mut report,
+        violations,
+    } = sim.run_checked();
+
+    // -- Derived observations, anchored on the victim's crash or the
+    // plan's first fault. --
+    let anchor = victim.map_or_else(|| plan.first_event_ms().unwrap_or(0.0), |(_, at)| at);
+    let outage_end = first_resched.unwrap_or(cfg.sim.sim_time_ms);
+    let dip = report
+        .throughput
+        .get(topology.id().as_str())
+        .map_or(0.0, |t| {
+            dip_depth(&t.windows, t.window_ms, anchor, outage_end + t.window_ms)
+        });
+    let observations = RecoveryObservations {
+        crash_at_ms: anchor,
+        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - anchor),
+        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - anchor),
+        tuples_lost: report.totals.tuples_lost,
+        throughput_dip_depth: dip,
+        reschedule_attempts: replay.manager.reschedule_attempts(),
+        roots_replayed: report.totals.roots_replayed,
+        tuples_quarantined: report.totals.tuples_quarantined,
+        suppressed_flaps: replay.manager.suppressed_flaps(),
+    };
+    report.recovery = Some(observations);
+
+    let reconciliation = plan
+        .has_control_faults()
+        .then(|| reconcile_audit(cluster, topology, scheduler, &replay));
+    Ok(ChaosOutcome {
+        report,
+        violations,
+        events: replay.events,
+        plan: replay.state.plan().clone(),
+        observations,
+        reconciliation,
+    })
 }
 
-/// [`run_crash_recover`] with an explicit scheduler: `scheduler` computes
-/// both the initial placement and every control-plane re-placement, so a
-/// scenario grid can compare recovery behavior across schedulers.
+/// [`run_scenario`] for a [`ChaosConfig::new`]-style scenario, panicking
+/// on a start-up failure. An adapter kept, signature unchanged, for the
+/// `perfbench/` crate, which calls it.
 ///
 /// # Panics
 ///
-/// As [`run_crash_recover`]. [`try_run_crash_recover_with`] returns the
-/// same failures as typed [`ChaosError`]s instead.
+/// With the [`ChaosError`] message where [`run_scenario`] returns one.
 pub fn run_crash_recover_with(
     cluster: &Arc<Cluster>,
     topology: &Topology,
     cfg: &ChaosConfig,
     scheduler: &(dyn Scheduler + '_),
 ) -> ChaosOutcome {
-    match try_run_crash_recover_with(cluster, topology, cfg, scheduler) {
-        Ok(out) => out,
-        Err(ChaosError::UnknownVictim { victim }) => {
-            panic!("chaos victim `{victim}` is not a node of the cluster")
-        }
-        Err(ChaosError::InitialPlacement { .. }) => {
-            panic!("chaos scenario requires an initial placement on the healthy cluster")
-        }
-        Err(e) => panic!("{e}"),
-    }
+    run_scenario(cluster, topology, cfg, scheduler).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_crash_recover_with`], with start-up failures — an unknown
-/// victim, a topology that cannot place on the healthy cluster — as
-/// typed [`ChaosError`]s instead of panics. The chaos fuzzer calls this
-/// so generated scenarios surface as results, not aborts.
+/// [`run_scenario`] over a bare plan ([`ChaosConfig::from_plan`]). An
+/// adapter kept, signature unchanged, for the `perfbench/` crate, which
+/// calls it.
 ///
 /// # Errors
 ///
-/// [`ChaosError::UnknownVictim`] and [`ChaosError::InitialPlacement`].
-pub fn try_run_crash_recover_with(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &ChaosConfig,
-    scheduler: &(dyn Scheduler + '_),
-) -> Result<ChaosOutcome, ChaosError> {
-    if !cluster
-        .nodes()
-        .iter()
-        .any(|n| n.id().as_str() == cfg.victim)
-    {
-        return Err(ChaosError::UnknownVictim {
-            victim: cfg.victim.clone(),
-        });
-    }
-
-    // -- Control plane: replay the recovery loop over heartbeat ticks. --
-    let mut control = (**cluster).clone();
-    let mut state = GlobalState::new(&control);
-    let initial = scheduler
-        .schedule(topology, &control, &mut state)
-        .map_err(|error| ChaosError::InitialPlacement {
-            topology: topology.id().as_str().to_owned(),
-            error,
-        })?;
-    let mut manager = RecoveryManager::new(cfg.recovery.clone());
-    let mut events = Vec::new();
-
-    let interval = cfg.recovery.heartbeat_interval_ms;
-    let names: Vec<String> = cluster
-        .nodes()
-        .iter()
-        .map(|n| n.id().as_str().to_owned())
-        .collect();
-    let mut t = 0.0;
-    while t <= cfg.sim.sim_time_ms {
-        for name in &names {
-            let victim_down = *name == cfg.victim && t >= cfg.crash_at_ms && t < cfg.heal_at_ms;
-            if !victim_down {
-                manager.observe_heartbeat(name, t);
-            }
-        }
-        events.extend(manager.tick(t, &mut control, &mut state, scheduler, &[topology]));
-        t += interval;
-    }
-
-    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&events);
-
-    // -- Data plane: the same outage injected into the simulator. --
-    let mut plan = FaultPlan::new().crash_node(cfg.crash_at_ms, &cfg.victim);
-    if let Some(at) = first_resched {
-        // The victim's workers come back the moment the control plane
-        // first re-placed the topology (replacement workers taking over).
-        if at > cfg.crash_at_ms {
-            plan = plan.recover_node(at, &cfg.victim);
-        }
-    }
-    let mut sim = Simulation::new(Arc::clone(cluster), cfg.sim.clone());
-    sim.add_topology(topology, &initial);
-    sim.set_fault_plan(plan);
-    let mut report = sim.run();
-
-    // -- Derived observations. --
-    let outage_end = first_resched.unwrap_or(cfg.sim.sim_time_ms);
-    let dip = report
-        .throughput
-        .get(topology.id().as_str())
-        .map_or(0.0, |t| {
-            dip_depth(
-                &t.windows,
-                t.window_ms,
-                cfg.crash_at_ms,
-                outage_end + t.window_ms,
-            )
-        });
-    let observations = RecoveryObservations {
-        crash_at_ms: cfg.crash_at_ms,
-        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        tuples_lost: report.totals.tuples_lost,
-        throughput_dip_depth: dip,
-        reschedule_attempts: manager.reschedule_attempts(),
-        roots_replayed: report.totals.roots_replayed,
-        tuples_quarantined: report.totals.tuples_quarantined,
-        suppressed_flaps: manager.suppressed_flaps(),
-    };
-    report.recovery = Some(observations);
-
-    Ok(ChaosOutcome {
-        report,
-        events,
-        plan: state.plan().clone(),
-        observations,
-    })
-}
-
-/// Runs an arbitrary [`FaultPlan`] — crashes, recovers, flap storms,
-/// crash bursts, link degradations and rack partitions — through both
-/// planes, the generalization of [`run_crash_recover_with`] the chaos
-/// fuzzer drives:
-///
-/// * **Control plane** — the [`RecoveryManager`] replay, where a node
-///   misses heartbeats while it is crashed (per
-///   [`FaultPlan::node_down_windows`]) *or* while its rack is
-///   partitioned (per [`FaultPlan::rack_partition_windows`] — heartbeats
-///   cross racks to reach the control loop), exercising detection, trust
-///   hysteresis and the churn limiter under correlated loss.
-/// * **Data plane** — the full plan injected into a checked simulation
-///   ([`Simulation::run_checked`]), so `sim_cfg.check_invariants = true`
-///   surfaces accounting violations in the outcome.
-///
-/// Control-plane atoms compose in: during a
-/// [`FaultEvent::NimbusCrash`] window the manager neither observes nor
-/// ticks (a successor reassumes at the first tick after it), during a
-/// [`FaultEvent::ControlLoss`] window it ticks but observes nothing —
-/// and the outcome carries a [`ReconcileAudit`] whenever the plan has
-/// either.
-///
-/// The derived [`RecoveryObservations`] anchor on the plan's earliest
-/// fault (detection/recovery latencies are measured from there).
-///
-/// # Errors
-///
-/// [`ChaosError::UnknownNode`] / [`ChaosError::UnknownRack`] when the
-/// plan references names the cluster does not have, and
-/// [`ChaosError::InitialPlacement`] when the topology cannot place.
+/// As [`run_scenario`].
 pub fn run_fault_plan_with(
     cluster: &Arc<Cluster>,
     topology: &Topology,
@@ -412,9 +346,16 @@ pub fn run_fault_plan_with(
     sim_cfg: &SimConfig,
     recovery: &RecoveryConfig,
     scheduler: &(dyn Scheduler + '_),
-) -> Result<PlanOutcome, ChaosError> {
-    // Resolve every name the plan references up front so fuzzed plans
-    // surface as typed errors here instead of engine panics mid-run.
+) -> Result<ChaosOutcome, ChaosError> {
+    let mut cfg = ChaosConfig::from_plan(plan.clone());
+    cfg.sim = sim_cfg.clone();
+    cfg.recovery = recovery.clone();
+    run_scenario(cluster, topology, &cfg, scheduler)
+}
+
+/// Resolves every name the plan references up front, so bad plans
+/// surface as typed errors here instead of engine panics mid-run.
+fn validate_names(cluster: &Cluster, plan: &FaultPlan) -> Result<(), ChaosError> {
     for ev in plan.events() {
         match ev {
             FaultEvent::NodeCrash { node, .. } | FaultEvent::NodeRecover { node, .. } => {
@@ -434,10 +375,75 @@ pub fn run_fault_plan_with(
             | FaultEvent::ControlLoss { .. } => {}
         }
     }
+    Ok(())
+}
 
-    // -- Control plane: replay the recovery loop over heartbeat ticks. --
-    // A node is silent while any of its own down windows or its rack's
-    // partition windows covers the tick.
+/// The revive victim: the node of the plan's earliest crash (ties by
+/// insertion order) and that crash's time.
+fn first_crash(plan: &FaultPlan) -> Option<(&str, f64)> {
+    plan.events()
+        .iter()
+        .filter_map(|ev| match ev {
+            FaultEvent::NodeCrash { at_ms, node } => Some((node.as_str(), *at_ms)),
+            _ => None,
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+}
+
+/// The data-plane plan of a revived scenario: `plan` without the
+/// victim's own recoveries, plus one at the first reschedule if that
+/// came after the crash.
+fn revived(plan: &FaultPlan, victim: &str, crash_at: f64, first_resched: Option<f64>) -> FaultPlan {
+    let kept = plan
+        .events()
+        .iter()
+        .filter(|ev| !matches!(ev, FaultEvent::NodeRecover { node, .. } if node == victim))
+        .cloned()
+        .collect();
+    match first_resched {
+        Some(at) if at > crash_at => FaultPlan::from_event_vec(kept).recover_node(at, victim),
+        _ => FaultPlan::from_event_vec(kept),
+    }
+}
+
+/// What [`replay_control_plane`] hands back to [`run_scenario`].
+struct ControlReplay {
+    manager: RecoveryManager,
+    events: Vec<RecoveryEvent>,
+    state: GlobalState,
+    initial: Assignment,
+    /// See [`ReconcileAudit::time_to_reassume_ms`].
+    time_to_reassume_ms: f64,
+    decisions_replayed: u64,
+}
+
+/// The control-plane replay: schedules the topology, then steps
+/// heartbeat ticks to `horizon_ms`. A node is silent while one of its
+/// own down windows or its rack's partition windows covers the tick;
+/// while a control-loss window is active *no* heartbeat is observed
+/// (Nimbus still ticks); while a Nimbus window is active nothing at all
+/// happens, and at the first tick after it a successor reassumes via
+/// [`RecoveryManager::reassume`] — with the predecessor's journal when
+/// journaling is on, cold otherwise.
+fn replay_control_plane(
+    cluster: &Arc<Cluster>,
+    topology: &Topology,
+    plan: &FaultPlan,
+    recovery: &RecoveryConfig,
+    scheduler: &(dyn Scheduler + '_),
+    horizon_ms: f64,
+) -> Result<ControlReplay, ChaosError> {
+    let mut control = (**cluster).clone();
+    let mut state = GlobalState::new(&control);
+    let initial = scheduler
+        .schedule(topology, &control, &mut state)
+        .map_err(|error| ChaosError::InitialPlacement {
+            topology: topology.id().as_str().to_owned(),
+            error,
+        })?;
+    let mut manager = RecoveryManager::new(recovery.clone());
+    let mut events = Vec::new();
+
     let node_windows = plan.node_down_windows();
     let rack_windows = plan.rack_partition_windows();
     let down_windows: Vec<(String, Vec<(f64, f64)>)> = cluster
@@ -453,339 +459,9 @@ pub fn run_fault_plan_with(
             (name, windows)
         })
         .collect();
+    let roster: Vec<String> = down_windows.iter().map(|(name, _)| name.clone()).collect();
     let nimbus_windows = plan.nimbus_down_windows();
     let loss_windows = plan.control_loss_windows();
-    let replay = replay_control_plane(
-        cluster,
-        topology,
-        recovery,
-        scheduler,
-        sim_cfg.sim_time_ms,
-        &down_windows,
-        &nimbus_windows,
-        &loss_windows,
-    )?;
-    let ControlReplay {
-        manager,
-        events,
-        state,
-        initial,
-        reassumed_at_ms,
-        decisions_replayed,
-    } = replay;
-
-    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&events);
-
-    // -- Data plane: the full plan injected into a checked simulation. --
-    let mut sim = Simulation::new(Arc::clone(cluster), sim_cfg.clone());
-    sim.add_topology(topology, &initial);
-    sim.set_fault_plan(plan.clone());
-    let CheckedReport {
-        mut report,
-        violations,
-    } = sim.run_checked();
-
-    // -- Derived observations, anchored on the earliest fault. --
-    let first_fault = plan
-        .events()
-        .iter()
-        .map(FaultEvent::at_ms)
-        .fold(f64::INFINITY, f64::min);
-    let anchor = if first_fault.is_finite() {
-        first_fault
-    } else {
-        0.0
-    };
-    let outage_end = first_resched.unwrap_or(sim_cfg.sim_time_ms);
-    let dip = report
-        .throughput
-        .get(topology.id().as_str())
-        .map_or(0.0, |t| {
-            dip_depth(&t.windows, t.window_ms, anchor, outage_end + t.window_ms)
-        });
-    let observations = RecoveryObservations {
-        crash_at_ms: anchor,
-        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - anchor),
-        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - anchor),
-        tuples_lost: report.totals.tuples_lost,
-        throughput_dip_depth: dip,
-        reschedule_attempts: manager.reschedule_attempts(),
-        roots_replayed: report.totals.roots_replayed,
-        tuples_quarantined: report.totals.tuples_quarantined,
-        suppressed_flaps: manager.suppressed_flaps(),
-    };
-    report.recovery = Some(observations);
-
-    // -- Reconciliation audit, when the control plane itself faulted. --
-    let reconciliation = plan.has_control_faults().then(|| {
-        reconcile_audit(
-            cluster,
-            topology,
-            scheduler,
-            &manager,
-            &state,
-            nimbus_windows.first().map(|w| w.0),
-            reassumed_at_ms,
-            decisions_replayed,
-        )
-    });
-
-    Ok(PlanOutcome {
-        report,
-        violations,
-        events,
-        observations,
-        reconciliation,
-    })
-}
-
-/// One control-plane outage scenario: the data-plane victim and outage
-/// window of a [`ChaosConfig`], plus when Nimbus itself goes down and
-/// for how long. Whether the failover is journaled is governed by
-/// `recovery.journal` (see [`rstorm_core::RecoveryConfig`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlOutageConfig {
-    /// The data-plane node to crash. Must exist in the cluster.
-    pub victim: String,
-    /// Simulation time of the victim's crash, in milliseconds.
-    pub crash_at_ms: f64,
-    /// Simulation time the victim starts heartbeating again. Use a value
-    /// past `sim.sim_time_ms` for a crash that never heals.
-    pub heal_at_ms: f64,
-    /// Simulation time Nimbus goes down.
-    pub nimbus_down_at_ms: f64,
-    /// Length of the Nimbus outage in milliseconds.
-    pub nimbus_down_ms: f64,
-    /// Data-plane simulation parameters.
-    pub sim: SimConfig,
-    /// Control-plane recovery-loop parameters — `recovery.journal`
-    /// selects journaled versus cold failover.
-    pub recovery: RecoveryConfig,
-}
-
-impl ControlOutageConfig {
-    /// A scenario with default simulation and recovery knobs (note the
-    /// default journal is **off** — a cold failover).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= crash_at_ms < heal_at_ms`, the Nimbus window
-    /// start is finite and non-negative, and its duration is finite and
-    /// positive.
-    pub fn new(
-        victim: impl Into<String>,
-        crash_at_ms: f64,
-        heal_at_ms: f64,
-        nimbus_down_at_ms: f64,
-        nimbus_down_ms: f64,
-    ) -> Self {
-        assert!(
-            crash_at_ms.is_finite() && heal_at_ms.is_finite() && crash_at_ms >= 0.0,
-            "chaos times must be finite and non-negative, got crash={crash_at_ms} heal={heal_at_ms}"
-        );
-        assert!(
-            crash_at_ms < heal_at_ms,
-            "the victim must heal after it crashes, got crash={crash_at_ms} heal={heal_at_ms}"
-        );
-        assert!(
-            nimbus_down_at_ms.is_finite() && nimbus_down_at_ms >= 0.0,
-            "the Nimbus outage needs a finite non-negative start"
-        );
-        assert!(
-            nimbus_down_ms.is_finite() && nimbus_down_ms > 0.0,
-            "the Nimbus outage must last a positive duration"
-        );
-        Self {
-            victim: victim.into(),
-            crash_at_ms,
-            heal_at_ms,
-            nimbus_down_at_ms,
-            nimbus_down_ms,
-            sim: SimConfig::default(),
-            recovery: RecoveryConfig::default(),
-        }
-    }
-}
-
-/// Everything a control-outage run produced: the [`ChaosOutcome`] fields
-/// plus the failover metrics.
-#[derive(Debug, Clone)]
-pub struct ControlOutcome {
-    /// The fault-injected data-plane report, with
-    /// [`SimReport::recovery`] populated.
-    pub report: SimReport,
-    /// The control-plane recovery events, in occurrence order.
-    pub events: Vec<RecoveryEvent>,
-    /// The control plane's final scheduling plan.
-    pub plan: SchedulingPlan,
-    /// The derived recovery metrics (also embedded in `report`).
-    pub observations: RecoveryObservations,
-    /// Latency from the Nimbus outage's start to the first successor
-    /// tick, or `-1.0` if the outage outlived the run.
-    pub time_to_reassume_ms: f64,
-    /// Journal decisions the successor replayed — zero for a cold
-    /// failover.
-    pub decisions_replayed: u64,
-}
-
-/// Runs a crash-then-recover scenario through a Nimbus outage: the
-/// victim goes silent as in [`run_crash_recover`], but during
-/// `[nimbus_down_at_ms, nimbus_down_at_ms + nimbus_down_ms)` the control
-/// plane observes nothing and decides nothing. At the first tick after
-/// the window a successor reassumes — replaying the journal when
-/// `cfg.recovery.journal` is on, starting cold (and blind to any node
-/// that fell silent before the failover) otherwise. The data plane
-/// mirrors [`run_crash_recover`]: the victim's workers come back the
-/// moment the control plane first re-placed the topology.
-///
-/// # Errors
-///
-/// [`ChaosError::UnknownVictim`] and [`ChaosError::InitialPlacement`].
-pub fn run_control_outage(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &ControlOutageConfig,
-) -> Result<ControlOutcome, ChaosError> {
-    if !cluster
-        .nodes()
-        .iter()
-        .any(|n| n.id().as_str() == cfg.victim)
-    {
-        return Err(ChaosError::UnknownVictim {
-            victim: cfg.victim.clone(),
-        });
-    }
-    let scheduler = RStormScheduler::new();
-
-    // -- Control plane: the victim is silent for its outage window. --
-    let down_windows: Vec<(String, Vec<(f64, f64)>)> = cluster
-        .nodes()
-        .iter()
-        .map(|n| {
-            let name = n.id().as_str().to_owned();
-            let windows = if name == cfg.victim {
-                vec![(cfg.crash_at_ms, cfg.heal_at_ms)]
-            } else {
-                Vec::new()
-            };
-            (name, windows)
-        })
-        .collect();
-    let nimbus_windows = vec![(
-        cfg.nimbus_down_at_ms,
-        cfg.nimbus_down_at_ms + cfg.nimbus_down_ms,
-    )];
-    let ControlReplay {
-        manager,
-        events,
-        state,
-        initial,
-        reassumed_at_ms,
-        decisions_replayed,
-    } = replay_control_plane(
-        cluster,
-        topology,
-        &cfg.recovery,
-        &scheduler,
-        cfg.sim.sim_time_ms,
-        &down_windows,
-        &nimbus_windows,
-        &[],
-    )?;
-    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&events);
-
-    // -- Data plane: as in `run_crash_recover`. --
-    let mut plan = FaultPlan::new().crash_node(cfg.crash_at_ms, &cfg.victim);
-    if let Some(at) = first_resched {
-        if at > cfg.crash_at_ms {
-            plan = plan.recover_node(at, &cfg.victim);
-        }
-    }
-    let mut sim = Simulation::new(Arc::clone(cluster), cfg.sim.clone());
-    sim.add_topology(topology, &initial);
-    sim.set_fault_plan(plan);
-    let mut report = sim.run();
-
-    // -- Derived observations. --
-    let outage_end = first_resched.unwrap_or(cfg.sim.sim_time_ms);
-    let dip = report
-        .throughput
-        .get(topology.id().as_str())
-        .map_or(0.0, |t| {
-            dip_depth(
-                &t.windows,
-                t.window_ms,
-                cfg.crash_at_ms,
-                outage_end + t.window_ms,
-            )
-        });
-    let observations = RecoveryObservations {
-        crash_at_ms: cfg.crash_at_ms,
-        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        tuples_lost: report.totals.tuples_lost,
-        throughput_dip_depth: dip,
-        reschedule_attempts: manager.reschedule_attempts(),
-        roots_replayed: report.totals.roots_replayed,
-        tuples_quarantined: report.totals.tuples_quarantined,
-        suppressed_flaps: manager.suppressed_flaps(),
-    };
-    report.recovery = Some(observations);
-
-    Ok(ControlOutcome {
-        report,
-        events,
-        plan: state.plan().clone(),
-        observations,
-        time_to_reassume_ms: reassumed_at_ms.map_or(-1.0, |at| at - cfg.nimbus_down_at_ms),
-        decisions_replayed,
-    })
-}
-
-/// What [`replay_control_plane`] hands back to the harnesses.
-struct ControlReplay {
-    manager: RecoveryManager,
-    events: Vec<RecoveryEvent>,
-    state: GlobalState,
-    initial: Assignment,
-    reassumed_at_ms: Option<f64>,
-    decisions_replayed: u64,
-}
-
-/// The shared control-plane replay: schedules the topology, then steps
-/// heartbeat ticks to `horizon_ms`. A node listed in `down_windows` is
-/// silent while any of its windows covers the tick; while a
-/// `loss_windows` window is active *no* heartbeat is observed (Nimbus
-/// still ticks); while a `nimbus_windows` window is active nothing at
-/// all happens, and at the first tick after it a successor reassumes via
-/// [`RecoveryManager::reassume`] — with the predecessor's journal when
-/// journaling is on, cold otherwise.
-#[allow(clippy::too_many_arguments)]
-fn replay_control_plane(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    recovery: &RecoveryConfig,
-    scheduler: &(dyn Scheduler + '_),
-    horizon_ms: f64,
-    down_windows: &[(String, Vec<(f64, f64)>)],
-    nimbus_windows: &[(f64, f64)],
-    loss_windows: &[(f64, f64)],
-) -> Result<ControlReplay, ChaosError> {
-    let mut control = (**cluster).clone();
-    let mut state = GlobalState::new(&control);
-    let initial = scheduler
-        .schedule(topology, &control, &mut state)
-        .map_err(|error| ChaosError::InitialPlacement {
-            topology: topology.id().as_str().to_owned(),
-            error,
-        })?;
-    let mut manager = RecoveryManager::new(recovery.clone());
-    let mut events = Vec::new();
-    let roster: Vec<String> = cluster
-        .nodes()
-        .iter()
-        .map(|n| n.id().as_str().to_owned())
-        .collect();
 
     let interval = recovery.heartbeat_interval_ms;
     let covers =
@@ -795,7 +471,7 @@ fn replay_control_plane(
     let mut reassumed_at_ms = None;
     let mut decisions_replayed = 0u64;
     while t <= horizon_ms {
-        if covers(nimbus_windows, t) {
+        if covers(&nimbus_windows, t) {
             // Nimbus is down: no observation, no detection, no
             // rescheduling — the data plane runs on without it.
             was_down = true;
@@ -811,8 +487,8 @@ fn replay_control_plane(
             decisions_replayed += replayed;
             reassumed_at_ms.get_or_insert(t);
         }
-        let channel_lost = covers(loss_windows, t);
-        for (name, windows) in down_windows {
+        let channel_lost = covers(&loss_windows, t);
+        for (name, windows) in &down_windows {
             if !channel_lost && !covers(windows, t) {
                 manager.observe_heartbeat(name, t);
             }
@@ -821,12 +497,16 @@ fn replay_control_plane(
         t += interval;
     }
 
+    let time_to_reassume_ms = match (nimbus_windows.first(), reassumed_at_ms) {
+        (Some(&(down, _)), Some(up)) => up - down,
+        _ => -1.0,
+    };
     Ok(ControlReplay {
         manager,
         events,
         state,
         initial,
-        reassumed_at_ms,
+        time_to_reassume_ms,
         decisions_replayed,
     })
 }
@@ -858,22 +538,16 @@ fn fold_recovery_events(events: &[RecoveryEvent]) -> (Option<f64>, Option<f64>, 
 
 /// Derives the [`ReconcileAudit`] from the final control-plane state
 /// (see the field docs for the two oracles).
-#[allow(clippy::too_many_arguments)]
 fn reconcile_audit(
     cluster: &Arc<Cluster>,
     topology: &Topology,
     scheduler: &(dyn Scheduler + '_),
-    manager: &RecoveryManager,
-    state: &GlobalState,
-    first_nimbus_down_ms: Option<f64>,
-    reassumed_at_ms: Option<f64>,
-    decisions_replayed: u64,
+    replay: &ControlReplay,
 ) -> ReconcileAudit {
-    let dead: BTreeSet<&str> = manager.dead_nodes().collect();
-    let quiesced = !manager.has_pending_reschedules();
+    let dead: BTreeSet<&str> = replay.manager.dead_nodes().collect();
+    let quiesced = !replay.manager.has_pending_reschedules();
     let total = topology.total_tasks() as usize;
-    let assignment = state.plan().assignment(topology.id().as_str());
-
+    let assignment = replay.state.plan().assignment(topology.id().as_str());
     let double_placed_or_orphaned = match assignment {
         Some(a) => {
             let placed: BTreeSet<_> = a.iter().map(|(task, _)| task).collect();
@@ -904,11 +578,8 @@ fn reconcile_audit(
     };
 
     ReconcileAudit {
-        time_to_reassume_ms: match (first_nimbus_down_ms, reassumed_at_ms) {
-            (Some(down), Some(up)) => up - down,
-            _ => -1.0,
-        },
-        decisions_replayed,
+        time_to_reassume_ms: replay.time_to_reassume_ms,
+        decisions_replayed: replay.decisions_replayed,
         converged,
         double_placed_or_orphaned,
     }
@@ -948,7 +619,7 @@ fn dip_depth(windows: &[f64], window_ms: f64, crash_at_ms: f64, outage_end_ms: f
 mod tests {
     use super::*;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
-    use rstorm_core::verify_plan;
+    use rstorm_core::{verify_plan, RStormScheduler};
     use rstorm_topology::{ExecutionProfile, TopologyBuilder};
 
     fn topology() -> Topology {
@@ -991,12 +662,29 @@ mod tests {
         cfg
     }
 
+    fn run(cluster: &Arc<Cluster>, t: &Topology, cfg: &ChaosConfig) -> ChaosOutcome {
+        run_scenario(cluster, t, cfg, &RStormScheduler::new()).unwrap()
+    }
+
+    /// The victim crashes at 20 s and heals at 50 s, while Nimbus is down
+    /// over `[18 s, 30 s)`: the silence starts before any successor
+    /// exists.
+    const MASKED_NIMBUS_AT_MS: f64 = 18_000.0;
+    const MASKED_NIMBUS_DOWN_MS: f64 = 12_000.0;
+
+    fn masked_outage(victim: String) -> ChaosConfig {
+        let mut cfg = ChaosConfig::new(victim, 20_000.0, 50_000.0)
+            .with_nimbus_outage(MASKED_NIMBUS_AT_MS, MASKED_NIMBUS_DOWN_MS);
+        cfg.sim = SimConfig::quick();
+        cfg
+    }
+
     #[test]
     fn crash_is_detected_and_topology_fully_recovers() {
         let cluster = cluster();
         let t = topology();
         let cfg = scenario(host_node(&cluster, &t));
-        let out = run_crash_recover(&cluster, &t, &cfg);
+        let out = run(&cluster, &t, &cfg);
 
         let obs = out.observations;
         // Detection takes at least the miss window measured from the
@@ -1038,8 +726,8 @@ mod tests {
         let cluster = cluster();
         let t = topology();
         let cfg = scenario(host_node(&cluster, &t));
-        let a = run_crash_recover(&cluster, &t, &cfg);
-        let b = run_crash_recover(&cluster, &t, &cfg);
+        let a = run(&cluster, &t, &cfg);
+        let b = run(&cluster, &t, &cfg);
         assert_eq!(a.report, b.report, "same scenario, same bits");
         assert_eq!(a.events, b.events);
         assert_eq!(a.report.to_json(), b.report.to_json());
@@ -1070,7 +758,7 @@ mod tests {
         let victim = cluster.nodes()[0].id().as_str().to_owned();
         let mut cfg = ChaosConfig::new(victim, 10_000.0, 120_000.0); // never heals in a quick run
         cfg.sim = SimConfig::quick();
-        let out = run_crash_recover(&cluster, &t, &cfg);
+        let out = run(&cluster, &t, &cfg);
 
         assert!(out.observations.time_to_detect_ms > 0.0, "crash detected");
         assert!(
@@ -1088,31 +776,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a node")]
-    fn unknown_victim_is_rejected() {
-        run_crash_recover(
-            &cluster(),
-            &topology(),
-            &ChaosConfig::new("ghost", 1.0, 2.0),
-        );
-    }
-
-    #[test]
-    fn try_variant_reports_unknown_victim_as_value() {
-        let err = try_run_crash_recover_with(
-            &cluster(),
-            &topology(),
-            &ChaosConfig::new("ghost", 1.0, 2.0),
-            &RStormScheduler::new(),
-        )
-        .unwrap_err();
+    fn unknown_victim_is_a_typed_error() {
+        let cfg = ChaosConfig::new("ghost", 1.0, 2.0);
+        let err = run_scenario(&cluster(), &topology(), &cfg, &RStormScheduler::new()).unwrap_err();
         assert_eq!(
             err,
-            ChaosError::UnknownVictim {
-                victim: "ghost".into()
+            ChaosError::UnknownNode {
+                node: "ghost".into()
             }
         );
         assert!(err.to_string().contains("ghost"));
+        // The panicking adapter carries the same message.
+        let caught = std::panic::catch_unwind(|| {
+            run_crash_recover_with(&cluster(), &topology(), &cfg, &RStormScheduler::new())
+        });
+        let message = caught.unwrap_err();
+        let message = message.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("unknown node `ghost`"), "{message}");
     }
 
     #[test]
@@ -1133,17 +813,16 @@ mod tests {
         let t = b.build().unwrap();
         let victim = cluster.nodes()[0].id().as_str().to_owned();
         let cfg = ChaosConfig::new(victim, 1_000.0, 2_000.0);
-        let err =
-            try_run_crash_recover_with(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap_err();
+        let err = run_scenario(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap_err();
         assert!(
             matches!(err, ChaosError::InitialPlacement { ref topology, .. } if topology == "huge"),
             "got {err:?}"
         );
-        // The same failure keeps panicking through the legacy entry point.
+        // The same failure keeps panicking through the perfbench adapter.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_crash_recover(&cluster, &t, &cfg)
+            run_crash_recover_with(&cluster, &t, &cfg, &RStormScheduler::new())
         }));
-        assert!(caught.is_err(), "the panicking wrapper still panics");
+        assert!(caught.is_err(), "the panicking adapter still panics");
     }
 
     #[test]
@@ -1241,50 +920,48 @@ mod tests {
         // roster's heartbeats on reassumption and still detects it.
         let cluster = cluster();
         let t = topology();
-        let mut cfg = ControlOutageConfig::new(
-            host_node(&cluster, &t),
-            20_000.0,
-            50_000.0,
-            18_000.0,
-            12_000.0,
-        );
-        cfg.sim = SimConfig::quick();
+        let victim = host_node(&cluster, &t);
+        let mut cfg = masked_outage(victim.clone());
         cfg.recovery.journal = true;
-        let out = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let out = run(&cluster, &t, &cfg);
+        let audit = out.reconciliation.expect("a Nimbus crash yields an audit");
 
         // Reassumption happens at the first tick past the 12 s window.
         assert!(
-            out.time_to_reassume_ms >= cfg.nimbus_down_ms
-                && out.time_to_reassume_ms
-                    <= cfg.nimbus_down_ms + 2.0 * cfg.recovery.heartbeat_interval_ms,
+            audit.time_to_reassume_ms >= MASKED_NIMBUS_DOWN_MS
+                && audit.time_to_reassume_ms
+                    <= MASKED_NIMBUS_DOWN_MS + 2.0 * cfg.recovery.heartbeat_interval_ms,
             "reassumed after {} ms of a {} ms outage",
-            out.time_to_reassume_ms,
-            cfg.nimbus_down_ms
+            audit.time_to_reassume_ms,
+            MASKED_NIMBUS_DOWN_MS
         );
         // Nothing was journaled pre-outage, so nothing replays — the
         // win here is the seeded roster, not the record replay.
-        assert_eq!(out.decisions_replayed, 0);
+        assert_eq!(audit.decisions_replayed, 0);
         let declared = out
             .events
             .iter()
             .find_map(|e| match e {
-                RecoveryEvent::NodeDeclaredDead { node, at_ms, .. } if *node == cfg.victim => {
+                RecoveryEvent::NodeDeclaredDead { node, at_ms, .. } if *node == victim => {
                     Some(*at_ms)
                 }
                 _ => None,
             })
             .expect("the successor must declare the masked crash");
         assert!(
-            declared >= cfg.nimbus_down_at_ms + cfg.nimbus_down_ms,
+            declared >= MASKED_NIMBUS_AT_MS + MASKED_NIMBUS_DOWN_MS,
             "declared at {declared} ms, inside the outage"
         );
         assert!(out.observations.time_to_recover_ms >= out.observations.time_to_detect_ms);
+        // A revived scenario anchors on the victim's crash, not on the
+        // earlier Nimbus crash.
+        assert_eq!(out.observations.crash_at_ms, 20_000.0);
 
         // Deterministic end to end.
-        let again = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let again = run(&cluster, &t, &cfg);
         assert_eq!(out.report, again.report);
         assert_eq!(out.events, again.events);
-        assert_eq!(out.time_to_reassume_ms, again.time_to_reassume_ms);
+        assert_eq!(out.reconciliation, again.reconciliation);
     }
 
     #[test]
@@ -1293,18 +970,11 @@ mod tests {
         // a heartbeat from the victim, so it can never count the misses.
         let cluster = cluster();
         let t = topology();
-        let mut cfg = ControlOutageConfig::new(
-            host_node(&cluster, &t),
-            20_000.0,
-            50_000.0,
-            18_000.0,
-            12_000.0,
-        );
-        cfg.sim = SimConfig::quick();
+        let cfg = masked_outage(host_node(&cluster, &t));
         assert!(!cfg.recovery.journal, "cold failover is the default");
-        let out = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let out = run(&cluster, &t, &cfg);
 
-        assert_eq!(out.decisions_replayed, 0);
+        assert_eq!(out.reconciliation.unwrap().decisions_replayed, 0);
         assert!(
             !out.events
                 .iter()
@@ -1322,30 +992,26 @@ mod tests {
         // the successor replays those records and must not act twice.
         let cluster = cluster();
         let t = topology();
-        let mut cfg = ControlOutageConfig::new(
-            host_node(&cluster, &t),
-            5_000.0,
-            50_000.0,
-            14_000.0,
-            8_000.0,
-        );
+        let victim = host_node(&cluster, &t);
+        let mut cfg = ChaosConfig::new(victim.clone(), 5_000.0, 50_000.0)
+            .with_nimbus_outage(14_000.0, 8_000.0);
         cfg.sim = SimConfig::quick();
         cfg.recovery.journal = true;
-        let out = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let out = run(&cluster, &t, &cfg);
 
         // At least the dead declaration and one reschedule were in the
         // journal when the outage hit.
+        let replayed = out.reconciliation.unwrap().decisions_replayed;
         assert!(
-            out.decisions_replayed >= 2,
-            "expected the declare + reschedule records, replayed {}",
-            out.decisions_replayed
+            replayed >= 2,
+            "expected the declare + reschedule records, replayed {replayed}"
         );
         let declarations = out
             .events
             .iter()
-            .filter(|e| {
-                matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == cfg.victim)
-            })
+            .filter(
+                |e| matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == victim),
+            )
             .count();
         assert_eq!(
             declarations, 1,
@@ -1356,16 +1022,12 @@ mod tests {
 
     #[test]
     fn control_outage_rejects_unknown_victims_as_typed_error() {
-        let err = run_control_outage(
-            &cluster(),
-            &topology(),
-            &ControlOutageConfig::new("ghost", 1_000.0, 2_000.0, 500.0, 1_000.0),
-        )
-        .unwrap_err();
+        let cfg = ChaosConfig::new("ghost", 1_000.0, 2_000.0).with_nimbus_outage(500.0, 1_000.0);
+        let err = run_scenario(&cluster(), &topology(), &cfg, &RStormScheduler::new()).unwrap_err();
         assert_eq!(
             err,
-            ChaosError::UnknownVictim {
-                victim: "ghost".into()
+            ChaosError::UnknownNode {
+                node: "ghost".into()
             }
         );
     }

@@ -29,7 +29,7 @@
 //!   every **inter-rack** transfer to or from the rack is dropped at send
 //!   time, as if the far endpoint had crashed (intra-rack and local
 //!   traffic keeps flowing). Control-plane harnesses model the matching
-//!   heartbeat silence (see `crate::chaos::run_fault_plan_with`).
+//!   heartbeat silence (see `crate::chaos::run_scenario`).
 //! * [`FaultPlan::flap_storm`] expands into an alternating crash/recover
 //!   train on one node — the scenario the recovery plane's trust
 //!   hysteresis and churn limiter exist for.

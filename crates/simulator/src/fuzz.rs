@@ -5,7 +5,7 @@
 //! crash bursts, rack partitions, link degradations, background-traffic
 //! burst trains, Nimbus outages and control-channel loss windows — runs
 //! each plan
-//! through both planes of [`crate::chaos::run_fault_plan_with`], and
+//! through both planes of [`crate::chaos::run_scenario`], and
 //! checks an **oracle set** per run (see [`OracleKind`]):
 //!
 //! * the replay-plane **drain invariant** and its sibling accounting
@@ -46,7 +46,7 @@
 //! post-pass — so the same seed always yields byte-identical campaign
 //! logs, whatever the worker count.
 
-use crate::chaos::run_fault_plan_with;
+use crate::chaos::{run_scenario, ChaosConfig};
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultPlan};
 use rand::rngs::StdRng;
@@ -363,8 +363,12 @@ pub fn check_fault_plan(
     cfg: &FuzzConfig,
     plan: &FaultPlan,
 ) -> Option<OracleKind> {
-    let sim = cfg.sim.clone().with_check_invariants(true);
-    let out = match run_fault_plan_with(cluster, topology, plan, &sim, &cfg.recovery, scheduler) {
+    let scenario = ChaosConfig {
+        sim: cfg.sim.clone().with_check_invariants(true),
+        recovery: cfg.recovery.clone(),
+        ..ChaosConfig::from_plan(plan.clone())
+    };
+    let out = match run_scenario(cluster, topology, &scenario, scheduler) {
         Ok(out) => out,
         // A plan the harness rejects (unknown name, unplaceable
         // topology) is not a violation — the campaign records it clean.
@@ -376,7 +380,8 @@ pub fn check_fault_plan(
     if cfg.survivable_by_construction() && out.report.zero_loss_ratio() != 1.0 {
         return Some(OracleKind::ZeroLoss);
     }
-    if has_undetected_outage(cluster, plan, &cfg.recovery, sim.sim_time_ms, &out.events) {
+    let horizon_ms = scenario.sim.sim_time_ms;
+    if has_undetected_outage(cluster, plan, &cfg.recovery, horizon_ms, &out.events) {
         return Some(OracleKind::DetectLiveness);
     }
     if let Some(audit) = &out.reconciliation {
@@ -387,10 +392,9 @@ pub fn check_fault_plan(
             return Some(OracleKind::ReconcilePlacement);
         }
     }
-    let flipped = sim
-        .clone()
-        .with_incremental_routing(!sim.incremental_routing);
-    match run_fault_plan_with(cluster, topology, plan, &flipped, &cfg.recovery, scheduler) {
+    let mut flipped = scenario.clone();
+    flipped.sim.incremental_routing = !scenario.sim.incremental_routing;
+    match run_scenario(cluster, topology, &flipped, scheduler) {
         Ok(alt) => {
             if alt.report != out.report || alt.report.to_json() != out.report.to_json() {
                 return Some(OracleKind::RoutingParity);
@@ -400,7 +404,7 @@ pub fn check_fault_plan(
         // did not: that is a determinism bug, not a parity one.
         Err(_) => return Some(OracleKind::Determinism),
     }
-    match run_fault_plan_with(cluster, topology, plan, &sim, &cfg.recovery, scheduler) {
+    match run_scenario(cluster, topology, &scenario, scheduler) {
         Ok(again) => {
             if again.report.to_json() != out.report.to_json() || again.events != out.events {
                 return Some(OracleKind::Determinism);
@@ -1155,9 +1159,12 @@ mod tests {
             None,
             "a journaled failover over a survivable plan must be clean"
         );
-        let sim = cfg.sim.clone().with_check_invariants(true);
-        let out =
-            run_fault_plan_with(&cluster, &t, &plan, &sim, &cfg.recovery, &scheduler).unwrap();
+        let scenario = ChaosConfig {
+            sim: cfg.sim.clone().with_check_invariants(true),
+            recovery: cfg.recovery.clone(),
+            ..ChaosConfig::from_plan(plan)
+        };
+        let out = run_scenario(&cluster, &t, &scenario, &scheduler).unwrap();
         let audit = out.reconciliation.expect("control faults produce an audit");
         assert!(
             audit.time_to_reassume_ms >= 5_000.0,
@@ -1170,8 +1177,11 @@ mod tests {
         let plain = FaultPlan::new()
             .crash_node(8_000.0, &host)
             .recover_node(20_000.0, &host);
-        let out =
-            run_fault_plan_with(&cluster, &t, &plain, &sim, &cfg.recovery, &scheduler).unwrap();
+        let plain = ChaosConfig {
+            plan: plain,
+            ..scenario
+        };
+        let out = run_scenario(&cluster, &t, &plain, &scheduler).unwrap();
         assert!(out.reconciliation.is_none());
     }
 }

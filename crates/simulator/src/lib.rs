@@ -75,9 +75,8 @@ mod slab;
 pub mod sweep;
 
 pub use chaos::{
-    run_control_outage, run_crash_recover, run_crash_recover_with, run_fault_plan_with,
-    try_run_crash_recover_with, ChaosConfig, ChaosError, ChaosOutcome, ControlOutageConfig,
-    ControlOutcome, PlanOutcome, ReconcileAudit,
+    run_crash_recover_with, run_fault_plan_with, run_scenario, ChaosConfig, ChaosError,
+    ChaosOutcome, ReconcileAudit,
 };
 pub use config::{NetworkModel, SimConfig};
 pub use faults::{FaultEvent, FaultPlan, ParsePlanError};

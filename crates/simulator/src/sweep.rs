@@ -34,13 +34,13 @@
 //! guarantee: if a future change smuggles non-`Send` state into
 //! [`Simulation`], this module stops compiling.
 
-use crate::chaos::{run_crash_recover_with, run_fault_plan_with, ChaosConfig};
+use crate::chaos::{run_scenario, ChaosConfig};
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
 use crate::report::SimReport;
 use crate::sim::Simulation;
 use rstorm_cluster::Cluster;
-use rstorm_core::{schedulers, GlobalState, RecoveryConfig, Scheduler};
+use rstorm_core::{schedulers, GlobalState};
 use rstorm_metrics::Summary;
 use rstorm_topology::Topology;
 use std::fmt;
@@ -400,37 +400,38 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
             })
     };
 
-    let (report, detect, recover) = match job.fault {
-        FaultSpec::Healthy => {
-            let mut sim = Simulation::new(Arc::clone(&case.cluster), sim_cfg);
-            sim.add_topology(&case.topology, &assignment);
-            (sim.run(), -1.0, -1.0)
-        }
+    // Every fault spec is one chaos scenario under the job's seed: the
+    // crash specs revive the victim at the first reschedule
+    // (`ChaosConfig::new`), the rest run their plan as given.
+    let host = || host_node(&assignment);
+    let plan_scenario = |plan: FaultPlan| ChaosConfig {
+        sim: sim_cfg.clone(),
+        ..ChaosConfig::from_plan(plan)
+    };
+    let crash_scenario = |crash_at_ms: f64, heal_at_ms: f64| ChaosConfig {
+        sim: sim_cfg.clone(),
+        ..ChaosConfig::new(host(), crash_at_ms, heal_at_ms)
+    };
+    let scenario = match job.fault {
+        FaultSpec::Healthy => None,
         FaultSpec::CrashRecover {
             crash_at_ms,
             heal_at_ms,
-        } => run_fault_job(
-            case,
-            &*scheduler,
-            &assignment,
-            sim_cfg,
-            crash_at_ms,
-            heal_at_ms,
-        ),
+        } => Some(crash_scenario(crash_at_ms, heal_at_ms)),
+        // A heal time past the horizon never fires.
         FaultSpec::CrashLasting { crash_at_ms } => {
-            // A heal time past the horizon never fires.
-            let never = grid.sim.sim_time_ms * 10.0;
-            run_fault_job(case, &*scheduler, &assignment, sim_cfg, crash_at_ms, never)
+            Some(crash_scenario(crash_at_ms, grid.sim.sim_time_ms * 10.0))
         }
         FaultSpec::Partition { at_ms, until_ms } => {
             let rack = case
                 .cluster
-                .rack_of(&host_node(&assignment))
+                .rack_of(&host())
                 .expect("assigned node belongs to a rack")
                 .as_str()
                 .to_owned();
-            let plan = FaultPlan::new().partition_rack(at_ms, until_ms, rack);
-            run_plan_job(case, &*scheduler, &plan, sim_cfg)
+            Some(plan_scenario(
+                FaultPlan::new().partition_rack(at_ms, until_ms, rack),
+            ))
         }
         FaultSpec::Congestion {
             at_ms,
@@ -441,41 +442,53 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
             // under it `link_extra_ms` shrinks capacity instead of
             // padding latency, so the window behaves like competing
             // background traffic on every link.
-            let fair_cfg = sim_cfg.with_network_model(crate::config::NetworkModel::Fair);
-            let plan = FaultPlan::new().degrade_links(at_ms, until_ms, extra_ms);
-            run_plan_job(case, &*scheduler, &plan, fair_cfg)
+            let mut cfg = plan_scenario(FaultPlan::new().degrade_links(at_ms, until_ms, extra_ms));
+            cfg.sim = cfg
+                .sim
+                .with_network_model(crate::config::NetworkModel::Fair);
+            Some(cfg)
         }
         FaultSpec::Flap {
             first_at_ms,
             flaps,
             down_ms,
             up_ms,
-        } => {
-            let plan = FaultPlan::new().flap_storm(
-                first_at_ms,
-                host_node(&assignment),
-                flaps,
-                down_ms,
-                up_ms,
-            );
-            run_plan_job(case, &*scheduler, &plan, sim_cfg)
-        }
+        } => Some(plan_scenario(FaultPlan::new().flap_storm(
+            first_at_ms,
+            host(),
+            flaps,
+            down_ms,
+            up_ms,
+        ))),
         FaultSpec::NimbusOutage {
             crash_at_ms,
             heal_at_ms,
             nimbus_at_ms,
             nimbus_down_ms,
         } => {
-            let host = host_node(&assignment);
-            let plan = FaultPlan::new()
-                .crash_node(crash_at_ms, &host)
-                .recover_node(heal_at_ms, &host)
-                .nimbus_crash(nimbus_at_ms, nimbus_down_ms);
-            let journaled = RecoveryConfig {
-                journal: true,
-                ..RecoveryConfig::default()
-            };
-            run_plan_job_with(case, &*scheduler, &plan, sim_cfg, &journaled)
+            let host = host();
+            let mut cfg = plan_scenario(
+                FaultPlan::new()
+                    .crash_node(crash_at_ms, &host)
+                    .recover_node(heal_at_ms, &host)
+                    .nimbus_crash(nimbus_at_ms, nimbus_down_ms),
+            );
+            cfg.recovery.journal = true;
+            Some(cfg)
+        }
+    };
+
+    let (report, detect, recover) = match scenario {
+        None => {
+            let mut sim = Simulation::new(Arc::clone(&case.cluster), sim_cfg);
+            sim.add_topology(&case.topology, &assignment);
+            (sim.run(), -1.0, -1.0)
+        }
+        Some(cfg) => {
+            let out = run_scenario(&case.cluster, &case.topology, &cfg, &*scheduler)
+                .unwrap_or_else(|e| panic!("fault job failed on sweep case {}: {e}", case.name));
+            let obs = out.observations;
+            (out.report, obs.time_to_detect_ms, obs.time_to_recover_ms)
         }
     };
 
@@ -488,60 +501,6 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
         time_to_detect_ms: detect,
         time_to_recover_ms: recover,
     }
-}
-
-/// The crash half of [`run_job`]: victim selection mirrors the chaos
-/// smoke (the host of the first assigned task — crashing an idle machine
-/// demonstrates nothing), then the two-plane chaos harness runs under the
-/// job's scheduler.
-fn run_fault_job(
-    case: &SweepCase,
-    scheduler: &dyn Scheduler,
-    assignment: &rstorm_core::Assignment,
-    sim_cfg: SimConfig,
-    crash_at_ms: f64,
-    heal_at_ms: f64,
-) -> (SimReport, f64, f64) {
-    let mut cfg = ChaosConfig::new(host_node(assignment), crash_at_ms, heal_at_ms);
-    cfg.sim = sim_cfg;
-    let out = run_crash_recover_with(&case.cluster, &case.topology, &cfg, scheduler);
-    let obs = out.observations;
-    (out.report, obs.time_to_detect_ms, obs.time_to_recover_ms)
-}
-
-/// The fault-plan half of [`run_job`] — the partition and flap specs run
-/// through [`run_fault_plan_with`], the same two-plane harness the chaos
-/// fuzzer drives, under default recovery knobs (matching
-/// [`ChaosConfig::new`]).
-fn run_plan_job(
-    case: &SweepCase,
-    scheduler: &dyn Scheduler,
-    plan: &FaultPlan,
-    sim_cfg: SimConfig,
-) -> (SimReport, f64, f64) {
-    run_plan_job_with(case, scheduler, plan, sim_cfg, &RecoveryConfig::default())
-}
-
-/// [`run_plan_job`] with explicit recovery knobs — the Nimbus-outage
-/// spec needs the control journal on.
-fn run_plan_job_with(
-    case: &SweepCase,
-    scheduler: &dyn Scheduler,
-    plan: &FaultPlan,
-    sim_cfg: SimConfig,
-    recovery: &RecoveryConfig,
-) -> (SimReport, f64, f64) {
-    let out = run_fault_plan_with(
-        &case.cluster,
-        &case.topology,
-        plan,
-        &sim_cfg,
-        recovery,
-        scheduler,
-    )
-    .unwrap_or_else(|e| panic!("fault-plan job failed on sweep case {}: {e}", case.name));
-    let obs = out.observations;
-    (out.report, obs.time_to_detect_ms, obs.time_to_recover_ms)
 }
 
 /// Victim selection, shared by every fault spec: the host of the first

@@ -118,8 +118,8 @@ pub mod prelude {
     };
     pub use rstorm_metrics::{StatisticServer, Summary, ThroughputReport};
     pub use rstorm_sim::{
-        run_adaptive_rebalance, run_crash_recover, AdaptiveConfig, AdaptiveOutcome, ChaosConfig,
-        ChaosOutcome, FaultEvent, FaultPlan, NetworkModel, RecoveryObservations,
+        run_adaptive_rebalance, run_scenario, AdaptiveConfig, AdaptiveOutcome, ChaosConfig,
+        ChaosError, ChaosOutcome, FaultEvent, FaultPlan, NetworkModel, RecoveryObservations,
         ReferenceSimulation, SimConfig, SimDebugStats, SimReport, SimTotals, Simulation,
     };
     pub use rstorm_topology::{

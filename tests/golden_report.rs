@@ -15,10 +15,6 @@
 //! diff like any other code change.
 
 use rstorm::prelude::*;
-use rstorm::sim::{
-    run_control_outage, run_fault_plan_with, ControlOutageConfig, InvariantViolation,
-    ReconcileAudit,
-};
 use rstorm::workloads::cases::fig8_cases;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -135,79 +131,40 @@ fn linear_net_with_host() -> (Arc<Cluster>, Topology, String) {
     (Arc::new(case.cluster), case.topology, host)
 }
 
-/// One harness run's pinned text: every output of the scenario that is
-/// a pure function of its inputs.
-fn scenario_pin(
-    report: &SimReport,
-    violations: &[InvariantViolation],
-    observations: &RecoveryObservations,
-    events: &[RecoveryEvent],
-    reconciliation: Option<&ReconcileAudit>,
-) -> String {
-    let mut out = format!("report: {}\n", report.to_json());
-    out.push_str(&format!("violations: {violations:?}\n"));
-    out.push_str(&format!("observations: {observations:?}\n"));
-    out.push_str("events:\n");
-    for event in events {
-        out.push_str(&format!("  {event:?}\n"));
+/// Runs `cfg` on linear_net under R-Storm and returns its pinned text.
+fn scenario_pin(cfg: &ChaosConfig) -> String {
+    let (cluster, topology, _) = linear_net_with_host();
+    let out = run_scenario(&cluster, &topology, cfg, &RStormScheduler::new()).unwrap();
+    let mut pin = format!("report: {}\n", out.report.to_json());
+    pin.push_str(&format!("violations: {:?}\n", out.violations));
+    pin.push_str(&format!("observations: {:?}\n", out.observations));
+    pin.push_str("events:\n");
+    for event in &out.events {
+        pin.push_str(&format!("  {event:?}\n"));
     }
-    out.push_str(&format!("reconciliation: {reconciliation:?}\n"));
-    out
+    pin.push_str(&format!("reconciliation: {:?}\n", out.reconciliation));
+    pin
 }
 
 /// Crash-then-recover on linear_net: the victim's workers return at the
 /// first reschedule.
 #[test]
 fn scenario_crash_recover_is_stable() {
-    let (cluster, topology, host) = linear_net_with_host();
+    let (_, _, host) = linear_net_with_host();
     let mut cfg = ChaosConfig::new(host, 20_000.0, 35_000.0);
     cfg.sim = SimConfig::quick();
-    let out = run_crash_recover(&cluster, &topology, &cfg);
-    let pin = scenario_pin(&out.report, &[], &out.observations, &out.events, None);
-    check_golden("scenario_crash_recover.txt", &pin);
+    check_golden("scenario_crash_recover.txt", &scenario_pin(&cfg));
 }
 
 /// A journaled Nimbus outage that starts 2 s before the victim crashes,
 /// so only the successor can see the silence.
 #[test]
 fn scenario_nimbus_outage_is_stable() {
-    let (cluster, topology, host) = linear_net_with_host();
-    let sim = SimConfig::quick().with_max_replays(8);
-    let recovery = RecoveryConfig {
-        journal: true,
-        ..RecoveryConfig::default()
-    };
-    let mut cfg = ControlOutageConfig::new(host.clone(), 20_000.0, 50_000.0, 18_000.0, 12_000.0);
-    cfg.sim = sim.clone();
-    cfg.recovery = recovery.clone();
-    let out = run_control_outage(&cluster, &topology, &cfg).unwrap();
-    // The audit comes from the fault-plan harness over the same control
-    // windows; its failover fields must match the outage harness's.
-    let plan = FaultPlan::new()
-        .crash_node(20_000.0, &host)
-        .recover_node(50_000.0, &host)
-        .nimbus_crash(18_000.0, 12_000.0);
-    let audit = run_fault_plan_with(
-        &cluster,
-        &topology,
-        &plan,
-        &sim,
-        &recovery,
-        &RStormScheduler::new(),
-    )
-    .unwrap()
-    .reconciliation
-    .expect("a Nimbus crash yields an audit");
-    assert_eq!(audit.time_to_reassume_ms, out.time_to_reassume_ms);
-    assert_eq!(audit.decisions_replayed, out.decisions_replayed);
-    let pin = scenario_pin(
-        &out.report,
-        &[],
-        &out.observations,
-        &out.events,
-        Some(&audit),
-    );
-    check_golden("scenario_nimbus_outage.txt", &pin);
+    let (_, _, host) = linear_net_with_host();
+    let mut cfg = ChaosConfig::new(host, 20_000.0, 50_000.0).with_nimbus_outage(18_000.0, 12_000.0);
+    cfg.sim = SimConfig::quick().with_max_replays(8);
+    cfg.recovery.journal = true;
+    check_golden("scenario_nimbus_outage.txt", &scenario_pin(&cfg));
 }
 
 /// A composed plan through the checked engine: a flap storm on the host,
@@ -215,30 +172,16 @@ fn scenario_nimbus_outage_is_stable() {
 /// to declare every node dead.
 #[test]
 fn scenario_fault_plan_is_stable() {
-    let (cluster, topology, host) = linear_net_with_host();
+    let (cluster, _, host) = linear_net_with_host();
     let rack = cluster.rack_of(&host).unwrap().as_str().to_owned();
-    let plan = FaultPlan::new()
-        .flap_storm(10_000.0, &host, 3, 2_000.0, 3_000.0)
-        .partition_rack(35_000.0, 45_000.0, rack)
-        .lose_control_channel(48_000.0, 52_000.0);
-    let sim = SimConfig::quick()
+    let mut cfg = ChaosConfig::from_plan(
+        FaultPlan::new()
+            .flap_storm(10_000.0, &host, 3, 2_000.0, 3_000.0)
+            .partition_rack(35_000.0, 45_000.0, rack)
+            .lose_control_channel(48_000.0, 52_000.0),
+    );
+    cfg.sim = SimConfig::quick()
         .with_max_replays(8)
         .with_check_invariants(true);
-    let out = run_fault_plan_with(
-        &cluster,
-        &topology,
-        &plan,
-        &sim,
-        &RecoveryConfig::default(),
-        &RStormScheduler::new(),
-    )
-    .unwrap();
-    let pin = scenario_pin(
-        &out.report,
-        &out.violations,
-        &out.observations,
-        &out.events,
-        out.reconciliation.as_ref(),
-    );
-    check_golden("scenario_fault_plan.txt", &pin);
+    check_golden("scenario_fault_plan.txt", &scenario_pin(&cfg));
 }
