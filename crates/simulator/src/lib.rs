@@ -64,6 +64,7 @@ pub mod chaos;
 mod config;
 mod event;
 pub mod faults;
+mod fifo;
 pub mod fuzz;
 pub mod network;
 pub mod rebalance;

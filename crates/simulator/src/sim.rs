@@ -26,6 +26,7 @@ use crate::build::{latency_table, ClusterIndex, GroupKind, Placement, SimBuild, 
 use crate::config::{NetworkModel, SimConfig};
 use crate::event::EventQueue;
 use crate::faults::{FaultEvent, FaultPlan};
+use crate::fifo::BlockFifo;
 use crate::network::{CompletedFlow, FairNetwork, LinkClass};
 use crate::report::{
     InvariantViolation, LinkUtilization, NetworkObservations, SimDebugStats, SimReport, SimTotals,
@@ -448,8 +449,9 @@ struct Engine {
     /// with O(1) pushes and pops. Entries are `(key, seq, root)` with
     /// `seq` drawn from the shared [`EventQueue`] counter, so merging
     /// this lane with the heap by `(key, seq)` reproduces the exact
-    /// single-queue event order.
-    timeouts: VecDeque<(u64, u64, u64)>,
+    /// single-queue event order. Blocks rather than a `VecDeque`, so the
+    /// lane never copies itself to grow (see [`crate::fifo`]).
+    timeouts: BlockFifo<(u64, u64, u64)>,
     cpus: Vec<DenseCpuServer>,
     egress: Vec<LinkServer>,
     ingress: Vec<LinkServer>,
@@ -710,7 +712,7 @@ impl Engine {
             statics,
             latency_ms,
             queue: EventQueue::new(),
-            timeouts: VecDeque::new(),
+            timeouts: BlockFifo::new(),
             cpus,
             egress,
             ingress,
