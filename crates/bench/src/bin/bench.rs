@@ -577,7 +577,8 @@ mod adaptive {
     fn run_case(case: &WorkloadCase) -> Row {
         let cluster = Arc::new(case.cluster.clone());
         let cfg = AdaptiveConfig::quick();
-        let out = run_adaptive_rebalance(&cluster, &case.topology, &cfg);
+        let out = run_adaptive_rebalance(&cluster, &case.topology, &cfg)
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
 
         // Detection gate: the drift these workloads embed must be seen.
         assert!(
@@ -878,11 +879,12 @@ mod sweep {
 ///   before timing).
 /// * **`scale/churn`** — the migration-churn variant: ~100 composed
 ///   `DeltaScheduler` plans applied across the run. The fast engine runs
-///   twice — incremental routing on vs off (full rebuild per
-///   migration) — with bit-identical reports asserted (`routing_parity`)
-///   before timing. The full-vs-patched ratio is reported under the
-///   `speedup_vs_reference` key so the shared speedup gate (≥ 1.0)
-///   applies to it unchanged. A full rebuild only rewrites each
+///   twice — the production engine, which patches routing, and the
+///   full-rebuild oracle (`Simulation::full_rebuild_oracle`, a full
+///   rebuild per migration) — with bit-identical reports asserted
+///   (`routing_parity`) before timing. The full-vs-patched ratio is
+///   reported under the `speedup_vs_reference` key so the shared
+///   speedup gate (≥ 1.0) applies to it unchanged. A full rebuild only rewrites each
 ///   component's shared rows, so the ratio is small.
 ///
 /// `SCALE_SMOKE_HORIZON_MS` trims the simulated horizon (default
@@ -890,7 +892,7 @@ mod sweep {
 /// reference engine stays affordable; CI trims further). The migration
 /// count is horizon-independent, so the churn gate is unaffected. The
 /// reference engine is skipped entirely for the churn row: the
-/// incremental-vs-full comparison is internal to the fast engine.
+/// patched-vs-full comparison is internal to the fast engine.
 mod scale {
     use rstorm_bench::harness::{median_ns, Row};
     use rstorm_bench::schedule_fresh;
@@ -963,7 +965,7 @@ mod scale {
                 2,
             );
 
-        // ---- scale/churn: incremental routing vs full rebuilds ----------
+        // ---- scale/churn: patched routing vs the full-rebuild oracle ----
         let (churn_assignment, plans) = churn_plans(&topology, &cluster, SCALE_CHURN_ROUNDS);
         let migrations: usize = plans.iter().map(|p| p.len()).sum();
         assert!(
@@ -971,18 +973,18 @@ mod scale {
             "churn generation collapsed: only {} of {SCALE_CHURN_ROUNDS} rounds moved tasks",
             plans.len()
         );
-        let build_churn = |incremental: bool| {
+        let build_churn = |patched: bool| {
             let cluster = Arc::clone(&cluster);
             let topology = &topology;
             let assignment = &churn_assignment;
             let plans = &plans;
             move || {
-                let mut sim = Simulation::new(
-                    Arc::clone(&cluster),
-                    SimConfig::default()
-                        .with_sim_time_ms(horizon)
-                        .with_incremental_routing(incremental),
-                );
+                let config = SimConfig::default().with_sim_time_ms(horizon);
+                let mut sim = if patched {
+                    Simulation::new(Arc::clone(&cluster), config)
+                } else {
+                    Simulation::full_rebuild_oracle(Arc::clone(&cluster), config)
+                };
                 sim.add_topology(topology, assignment);
                 schedule_churn(&mut sim, plans, horizon);
                 sim

@@ -475,6 +475,12 @@ fn rebalance_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     if !(adaptive.alpha > 0.0 && adaptive.alpha <= 1.0) {
         return Err(format!("--alpha must be in (0, 1], got {}", adaptive.alpha));
     }
+    if !(adaptive.rebalance_at_ms >= 0.0 && adaptive.rebalance_at_ms.is_finite()) {
+        return Err(format!(
+            "--rebalance-at-s must be finite and non-negative, got {}",
+            adaptive.rebalance_at_ms / 1000.0
+        ));
+    }
     if !(adaptive.pause_ms >= 0.0 && adaptive.pause_ms.is_finite()) {
         return Err(format!(
             "--pause-ms must be non-negative, got {}",
@@ -484,7 +490,7 @@ fn rebalance_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     adaptive.sim = config;
 
     let cluster = Arc::new(cluster);
-    let out = run_adaptive_rebalance(&cluster, &topology, &adaptive);
+    let out = run_adaptive_rebalance(&cluster, &topology, &adaptive).map_err(|e| e.to_string())?;
 
     println!(
         "adaptive rebalance on `{}`: profiled {:.0} s, rebalance at {:.0} s, \
@@ -929,6 +935,27 @@ mod tests {
         let mut bad = flags.clone();
         bad.insert("alpha".into(), "3".into());
         assert!(rebalance_cmd(&bad).unwrap_err().contains("alpha"));
+        // A negative or infinite rebalance time is a typed error, not a
+        // panic in the engine.
+        for at in ["-5", "inf"] {
+            let mut bad = flags.clone();
+            bad.insert("rebalance-at-s".into(), at.into());
+            let err = rebalance_cmd(&bad).unwrap_err();
+            assert!(err.contains("--rebalance-at-s"), "{at}: {err}");
+        }
+        // A topology that fits no node surfaces the harness's placement
+        // error.
+        let huge = dir.join("huge.spec");
+        std::fs::write(
+            &huge,
+            "topology t\nspout s parallelism=1 cpu=20 mem=4096\n\
+             bolt k parallelism=1 cpu=20 mem=128 emit=0\n  subscribe s shuffle\n",
+        )
+        .unwrap();
+        let mut unplaceable = flags.clone();
+        unplaceable.insert("topology".into(), huge.to_string_lossy().into_owned());
+        let err = rebalance_cmd(&unplaceable).unwrap_err();
+        assert!(err.contains("no initial placement"), "{err}");
     }
 
     #[test]

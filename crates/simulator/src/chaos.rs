@@ -18,10 +18,10 @@
 //!   the write-ahead [`rstorm_core::ControlJournal`] when
 //!   `recovery.journal` is on and starting cold otherwise. During a
 //!   [`FaultEvent::ControlLoss`] window it ticks but observes nothing.
-//! * **Data plane** — the plan injected into a checked [`Simulation`] of
-//!   the *initial* assignment ([`Simulation::run_checked`]), so
-//!   `sim.check_invariants` surfaces accounting violations in the
-//!   outcome. The run yields tuples lost and the throughput-dip depth.
+//! * **Data plane** — the plan injected into a [`Simulation`] of the
+//!   *initial* assignment, run through [`Simulation::run_checked`] so the
+//!   engine's accounting violations land in the outcome. The run yields
+//!   tuples lost and the throughput-dip depth.
 //!
 //! The two planes are open-loop: the manager's re-placements never move
 //! a task in the simulated data plane. [`ChaosConfig::revive`] is the one
@@ -191,8 +191,8 @@ pub struct ChaosOutcome {
     /// The fault-injected data-plane report, with
     /// [`SimReport::recovery`] populated.
     pub report: SimReport,
-    /// Invariant violations the checked engine observed — always empty
-    /// unless `sim.check_invariants` was on (the fuzzer's oracle input).
+    /// Invariant violations the engine observed — empty on a correct
+    /// engine (the fuzzer's oracle input).
     pub violations: Vec<InvariantViolation>,
     /// The control-plane recovery events, in occurrence order.
     pub events: Vec<RecoveryEvent>,

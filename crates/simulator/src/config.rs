@@ -5,8 +5,7 @@
 /// The network plane (`crate::network`) is strictly opt-in: the default
 /// [`NetworkModel::Legacy`] keeps every run bit-identical to the
 /// pre-plane engine (pinned by the golden report, the parity property
-/// suite, and the gate test), exactly like replay and incremental
-/// routing were introduced.
+/// suite, and the gate test), exactly like replay was introduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkModel {
     /// Per-resource FIFO `LinkServer`s: each transfer serializes through
@@ -74,26 +73,6 @@ pub struct SimConfig {
     /// the budget are quarantined as poison tuples. `0` disables replay
     /// entirely and preserves bit-identical legacy (at-most-once) behavior.
     pub max_replays: u32,
-    /// When true (the default), a migration leaves the routing table as
-    /// it is unless a moved task is in a local-or-shuffle group: rows
-    /// name consumer tasks only, and each transfer derives its link class
-    /// from the endpoints' current placement, so moving a task changes
-    /// no other row. The result is bit-identical to a full rebuild
-    /// (pinned by property tests), so this knob changes wall-clock cost
-    /// only; `false` forces a full rebuild on every migration.
-    pub incremental_routing: bool,
-    /// When true, the engine evaluates its accounting invariants — the
-    /// replay-plane drain invariant
-    /// `emitted == acked + quarantined + in_flight`, the live-root
-    /// ledger, and report counter sanity — **in every build profile**
-    /// and surfaces failures as typed
-    /// [`crate::InvariantViolation`]s through
-    /// [`crate::sim::Simulation::run_checked`] instead of
-    /// `debug_assert!`ing. Off by default: a default run is bit-identical
-    /// to the legacy engine and keeps the debug-only assertions. The
-    /// chaos fuzzer forces this on so release-build campaigns actually
-    /// check.
-    pub check_invariants: bool,
     /// **Fuzzer self-test hook — never set this outside the planted-bug
     /// gate.** When true, quarantine accounting deliberately skips the
     /// `roots_quarantined` increment, breaking the drain invariant the
@@ -144,23 +123,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns the configuration with incremental routing
-    /// enabled or disabled (`false` forces a full rebuild per migration;
-    /// results are bit-identical either way).
-    pub fn with_incremental_routing(mut self, incremental_routing: bool) -> Self {
-        self.incremental_routing = incremental_routing;
-        self
-    }
-
-    /// Returns the configuration with release-build invariant checking
-    /// enabled or disabled (see [`SimConfig::check_invariants`]). The
-    /// report bits of a run are identical either way — only whether
-    /// violations are *collected* changes.
-    pub fn with_check_invariants(mut self, check_invariants: bool) -> Self {
-        self.check_invariants = check_invariants;
-        self
-    }
-
     /// Fuzzer self-test hook (see
     /// [`SimConfig::planted_quarantine_bug`]).
     #[doc(hidden)]
@@ -188,8 +150,6 @@ impl Default for SimConfig {
             seed: 42,
             oom_thrash_factor: 0.05,
             max_replays: 0,
-            incremental_routing: true,
-            check_invariants: false,
             planted_quarantine_bug: false,
             network_model: NetworkModel::Legacy,
         }
@@ -206,6 +166,10 @@ mod tests {
         assert_eq!(c.tuple_timeout_ms, 30_000.0, "Storm's 30 s message timeout");
         assert_eq!(c.window_ms, 10_000.0, "paper reports tuples/10 s");
         assert!(c.max_pending > 0);
+        assert!(
+            !c.planted_quarantine_bug,
+            "the fuzzer self-test hook is off"
+        );
     }
 
     #[test]
@@ -218,33 +182,16 @@ mod tests {
         let c = SimConfig::default()
             .with_seed(7)
             .with_sim_time_ms(1000.0)
-            .with_max_replays(3)
-            .with_incremental_routing(false);
+            .with_max_replays(3);
         assert_eq!(c.seed, 7);
         assert_eq!(c.sim_time_ms, 1000.0);
         assert_eq!(c.max_replays, 3);
-        assert!(!c.incremental_routing);
     }
 
     #[test]
     fn replay_is_off_by_default() {
         assert_eq!(SimConfig::default().max_replays, 0);
         assert_eq!(SimConfig::quick().max_replays, 0);
-    }
-
-    #[test]
-    fn incremental_routing_is_on_by_default() {
-        assert!(SimConfig::default().incremental_routing);
-        assert!(SimConfig::quick().incremental_routing);
-    }
-
-    #[test]
-    fn invariant_checking_is_off_by_default() {
-        assert!(!SimConfig::default().check_invariants);
-        assert!(!SimConfig::quick().check_invariants);
-        assert!(!SimConfig::default().planted_quarantine_bug);
-        let c = SimConfig::default().with_check_invariants(true);
-        assert!(c.check_invariants);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! checks an **oracle set** per run (see [`OracleKind`]):
 //!
 //! * the replay-plane **drain invariant** and its sibling accounting
-//!   checks, promoted from `debug_assert!` to release-build
-//!   [`crate::InvariantViolation`]s via
-//!   [`crate::SimConfig::check_invariants`];
+//!   checks, which every run reports as release-build
+//!   [`crate::InvariantViolation`]s through
+//!   [`crate::Simulation::run_checked`];
 //! * **zero loss** for plans that are survivable *by construction* — when
 //!   `(max_replays + 1) * tuple_timeout_ms` exceeds the horizon no root
 //!   can exhaust its budget, so every settled root must have completed;
@@ -25,8 +25,6 @@
 //!   tasks as a from-scratch reschedule on the survivors, and no task
 //!   may end up double-placed or orphaned (see
 //!   [`crate::chaos::ReconcileAudit`]);
-//! * **routing parity** — re-running with the incremental-routing flag
-//!   flipped must reproduce the report bit for bit;
 //! * **determinism** — an identical re-run must reproduce the report and
 //!   the control-plane event log bit for bit.
 //!
@@ -65,7 +63,7 @@ use std::sync::Arc;
 pub const QUANTUM_MS: f64 = 500.0;
 
 /// Upper bound on oracle evaluations one shrink may spend. Each
-/// evaluation is up to three simulation runs, so this caps a pathological
+/// evaluation is up to two simulation runs, so this caps a pathological
 /// shrink at a bounded (still generous) budget; real reproducers converge
 /// in far fewer.
 const SHRINK_CHECK_BUDGET: usize = 512;
@@ -83,8 +81,6 @@ pub enum OracleKind {
     /// A node was silent far past the heartbeat miss window yet the
     /// control plane never declared it dead.
     DetectLiveness,
-    /// Flipping [`SimConfig::incremental_routing`] changed the report.
-    RoutingParity,
     /// An identical re-run produced different bits.
     Determinism,
     /// After a control-plane failover the quiesced placement covered
@@ -102,14 +98,12 @@ pub enum OracleKind {
 impl OracleKind {
     /// Stable machine-readable label, used in campaign logs and corpus
     /// headers (`invariant:<kind>`, `zero_loss`, `detect_liveness`,
-    /// `routing_parity`, `determinism`, `reconcile_convergence`,
-    /// `reconcile_placement`).
+    /// `determinism`, `reconcile_convergence`, `reconcile_placement`).
     pub fn label(&self) -> String {
         match self {
             Self::Invariant(kind) => format!("invariant:{kind}"),
             Self::ZeroLoss => "zero_loss".to_owned(),
             Self::DetectLiveness => "detect_liveness".to_owned(),
-            Self::RoutingParity => "routing_parity".to_owned(),
             Self::Determinism => "determinism".to_owned(),
             Self::ReconcileConvergence => "reconcile_convergence".to_owned(),
             Self::ReconcilePlacement => "reconcile_placement".to_owned(),
@@ -127,7 +121,6 @@ impl OracleKind {
         match label {
             "zero_loss" => Some(Self::ZeroLoss),
             "detect_liveness" => Some(Self::DetectLiveness),
-            "routing_parity" => Some(Self::RoutingParity),
             "determinism" => Some(Self::Determinism),
             "reconcile_convergence" => Some(Self::ReconcileConvergence),
             "reconcile_placement" => Some(Self::ReconcilePlacement),
@@ -143,8 +136,8 @@ impl fmt::Display for OracleKind {
 }
 
 /// Campaign parameters. `sim` is the configuration every generated plan
-/// runs under — the campaign forces `check_invariants` on for its own
-/// runs, so release-build campaigns actually check.
+/// runs under; the engine checks its invariants on every run, so
+/// release-build campaigns actually check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzConfig {
     /// How many plans to generate and check.
@@ -353,7 +346,7 @@ impl FuzzOutcome {
 /// trips, `None` for a clean (or inapplicable — e.g. unplaceable) run.
 /// Evaluation order: accounting invariants, zero loss (only when
 /// [`FuzzConfig::survivable_by_construction`]), detection liveness,
-/// routing parity, determinism. The first run short-circuits invariant
+/// reconciliation, determinism. The first run short-circuits invariant
 /// violations, so shrinking an invariant reproducer costs one simulation
 /// per candidate.
 pub fn check_fault_plan(
@@ -364,7 +357,7 @@ pub fn check_fault_plan(
     plan: &FaultPlan,
 ) -> Option<OracleKind> {
     let scenario = ChaosConfig {
-        sim: cfg.sim.clone().with_check_invariants(true),
+        sim: cfg.sim.clone(),
         recovery: cfg.recovery.clone(),
         ..ChaosConfig::from_plan(plan.clone())
     };
@@ -391,18 +384,6 @@ pub fn check_fault_plan(
         if audit.double_placed_or_orphaned {
             return Some(OracleKind::ReconcilePlacement);
         }
-    }
-    let mut flipped = scenario.clone();
-    flipped.sim.incremental_routing = !scenario.sim.incremental_routing;
-    match run_scenario(cluster, topology, &flipped, scheduler) {
-        Ok(alt) => {
-            if alt.report != out.report || alt.report.to_json() != out.report.to_json() {
-                return Some(OracleKind::RoutingParity);
-            }
-        }
-        // The first run started, an identical one (routing flag aside)
-        // did not: that is a determinism bug, not a parity one.
-        Err(_) => return Some(OracleKind::Determinism),
     }
     match run_scenario(cluster, topology, &scenario, scheduler) {
         Ok(again) => {
@@ -860,7 +841,6 @@ mod tests {
             OracleKind::Invariant("drain_imbalance".into()),
             OracleKind::ZeroLoss,
             OracleKind::DetectLiveness,
-            OracleKind::RoutingParity,
             OracleKind::Determinism,
             OracleKind::ReconcileConvergence,
             OracleKind::ReconcilePlacement,
@@ -1160,7 +1140,7 @@ mod tests {
             "a journaled failover over a survivable plan must be clean"
         );
         let scenario = ChaosConfig {
-            sim: cfg.sim.clone().with_check_invariants(true),
+            sim: cfg.sim.clone(),
             recovery: cfg.recovery.clone(),
             ..ChaosConfig::from_plan(plan)
         };

@@ -86,10 +86,7 @@ pub use fuzz::{
     FuzzReproducer, FuzzVerdict, OracleKind,
 };
 pub use network::LinkClass;
-pub use rebalance::{
-    refined_clone, run_adaptive_rebalance, try_run_adaptive_rebalance, AdaptiveConfig,
-    AdaptiveOutcome,
-};
+pub use rebalance::{refined_clone, run_adaptive_rebalance, AdaptiveConfig, AdaptiveOutcome};
 pub use reference::ReferenceSimulation;
 pub use report::{
     InvariantViolation, LinkUtilization, NetworkObservations, RecoveryObservations, SimDebugStats,

@@ -7,9 +7,8 @@ use std::fmt::Write as _;
 
 /// A broken engine invariant, surfaced as data instead of a
 /// `debug_assert!` so release-build fuzz campaigns can check every run
-/// (see [`crate::SimConfig::check_invariants`] and
-/// [`crate::sim::Simulation::run_checked`]). An empty violation list is
-/// the oracle the chaos fuzzer hunts against.
+/// (see [`crate::sim::Simulation::run_checked`]). An empty violation
+/// list is the oracle the chaos fuzzer hunts against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvariantViolation {
     /// The replay-plane drain invariant
@@ -351,18 +350,24 @@ impl SimReport {
     /// finite, the non-negative ones non-negative, and every monotone
     /// counter far from the wrap-around canary. A pure function of the
     /// report, so harnesses can check any run after the fact; the engine
-    /// folds these into [`crate::sim::Simulation::run_checked`] when
-    /// [`crate::SimConfig::check_invariants`] is on.
+    /// folds these into every [`crate::sim::Simulation::run_checked`].
+    /// Metric names are formatted only for a violation, so a clean sweep
+    /// allocates nothing per window or node.
     pub fn sanity_violations(&self) -> Vec<InvariantViolation> {
-        fn float(out: &mut Vec<InvariantViolation>, metric: &str, value: f64, non_negative: bool) {
+        fn float(
+            out: &mut Vec<InvariantViolation>,
+            metric: impl fmt::Display,
+            value: f64,
+            non_negative: bool,
+        ) {
             if !value.is_finite() {
                 out.push(InvariantViolation::NonFiniteMetric {
-                    metric: metric.to_owned(),
+                    metric: metric.to_string(),
                     value,
                 });
             } else if non_negative && value < 0.0 {
                 out.push(InvariantViolation::NegativeMetric {
-                    metric: metric.to_owned(),
+                    metric: metric.to_string(),
                     value,
                 });
             }
@@ -373,11 +378,11 @@ impl SimReport {
         float(&mut out, "inter_rack_mb", self.inter_rack_mb, true);
         for (topo, t) in &self.throughput {
             for (i, &w) in t.windows.iter().enumerate() {
-                float(&mut out, &format!("throughput.{topo}[{i}]"), w, true);
+                float(&mut out, format_args!("throughput.{topo}[{i}]"), w, true);
             }
         }
         for (node, u) in &self.node_utilization {
-            float(&mut out, &format!("node_utilization.{node}"), *u, true);
+            float(&mut out, format_args!("node_utilization.{node}"), *u, true);
         }
         float(&mut out, "latency_ms.mean", self.latency_ms.mean, true);
         float(&mut out, "latency_ms.stddev", self.latency_ms.stddev, true);
@@ -418,23 +423,28 @@ impl SimReport {
         }
         if let Some(n) = &self.network {
             for l in &n.links {
-                let path = format!("network.{}", l.link);
+                let link = &l.link;
                 float(
                     &mut out,
-                    &format!("{path}.capacity_mbps"),
+                    format_args!("network.{link}.capacity_mbps"),
                     l.capacity_mbps,
                     true,
                 );
                 float(
                     &mut out,
-                    &format!("{path}.mean_utilization"),
+                    format_args!("network.{link}.mean_utilization"),
                     l.mean_utilization,
                     true,
                 );
-                float(&mut out, &format!("{path}.mb_carried"), l.mb_carried, true);
+                float(
+                    &mut out,
+                    format_args!("network.{link}.mb_carried"),
+                    l.mb_carried,
+                    true,
+                );
                 if l.saturated_windows > OVERFLOW_CANARY {
                     out.push(InvariantViolation::CounterOverflow {
-                        counter: format!("{path}.saturated_windows"),
+                        counter: format!("network.{link}.saturated_windows"),
                         value: l.saturated_windows,
                     });
                 }
@@ -748,9 +758,25 @@ mod tests {
         let mut bad = empty_report();
         bad.inter_rack_mb = f64::NAN;
         bad.node_utilization.push(("n0".to_owned(), -0.5));
+        bad.throughput.insert(
+            "t".to_owned(),
+            ThroughputReport {
+                window_ms: 100.0,
+                windows: vec![1.0, f64::INFINITY],
+            },
+        );
         bad.totals.tuples_processed = u64::MAX - 3;
         let violations = bad.sanity_violations();
-        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert_eq!(violations.len(), 4, "{violations:?}");
+        // Per-window and per-node metric names are stable dotted paths.
+        assert!(violations.contains(&InvariantViolation::NonFiniteMetric {
+            metric: "throughput.t[1]".to_owned(),
+            value: f64::INFINITY,
+        }));
+        assert!(violations.contains(&InvariantViolation::NegativeMetric {
+            metric: "node_utilization.n0".to_owned(),
+            value: -0.5,
+        }));
         let kinds: Vec<&str> = violations.iter().map(InvariantViolation::kind).collect();
         assert!(kinds.contains(&"non_finite_metric"));
         assert!(kinds.contains(&"negative_metric"));
@@ -836,7 +862,14 @@ mod tests {
         let violations = r.sanity_violations();
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].kind(), "non_finite_metric");
-        assert!(violations[0].to_string().contains("rack0.uplink"));
+        assert!(
+            matches!(
+                &violations[0],
+                InvariantViolation::NonFiniteMetric { metric, value }
+                    if metric == "network.rack0.uplink.mean_utilization" && value.is_nan()
+            ),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -273,6 +273,10 @@ pub struct Simulation {
     faults: FaultPlan,
     stats: Option<(Arc<StatisticServer>, f64)>,
     migrations: Vec<PendingMigration>,
+    /// How a migration refreshes routing: `SimBuild::patch_routing`,
+    /// falling back to a full rebuild when it declines, or never-patch
+    /// for [`Self::full_rebuild_oracle`].
+    patch_routing: fn(&SimBuild, &[usize]) -> bool,
 }
 
 impl Simulation {
@@ -292,6 +296,20 @@ impl Simulation {
             faults: FaultPlan::new(),
             stats: None,
             migrations: Vec::new(),
+            patch_routing: SimBuild::patch_routing,
+        }
+    }
+
+    /// The full-rebuild reference engine: [`Self::new`], except that
+    /// every migration recomputes the whole routing table instead of
+    /// trying the placement-free patch first. Its reports are
+    /// bit-identical to the patched engine's; the routing parity
+    /// properties and the `scale/churn` bench row compare the two.
+    #[doc(hidden)]
+    pub fn full_rebuild_oracle(cluster: impl Into<Arc<Cluster>>, config: SimConfig) -> Self {
+        Self {
+            patch_routing: |_, _| false,
+            ..Self::new(cluster, config)
         }
     }
 
@@ -393,17 +411,30 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if no topology was added.
+    /// Panics if no topology was added. Debug builds also panic when the
+    /// replay plane's ledger or drain identity fails (unless the
+    /// fuzzer's planted bug is on); [`Self::run_checked`] returns every
+    /// violation as a value instead.
     pub fn run(self) -> SimReport {
-        self.run_checked().report
+        let planted = self.config.planted_quarantine_bug;
+        let CheckedReport { report, violations } = self.run_checked();
+        debug_assert!(
+            planted
+                || !violations
+                    .iter()
+                    .any(|v| matches!(v.kind(), "ledger_mismatch" | "drain_imbalance")),
+            "replay accounting broken (ledger or drain invariant): {violations:?}"
+        );
+        report
     }
 
-    /// Runs the simulation to completion and reports, together with any
-    /// [`InvariantViolation`]s detected when
-    /// [`SimConfig::check_invariants`] is on. With checking off (the
-    /// default) the violation list is always empty and the report is
-    /// bit-identical to [`Self::run`] — checking never perturbs the run,
-    /// it only *collects* what the debug build would have asserted.
+    /// Runs the simulation to completion and reports, together with every
+    /// [`InvariantViolation`] the engine detected: the replay plane's
+    /// live-root ledger and drain invariant
+    /// `emitted == acked + quarantined + in_flight`, and the report's
+    /// counter sanity ([`SimReport::sanity_violations`]). The checks run
+    /// once, at report time, in every build profile, and never perturb
+    /// the run: the report is bit-identical to [`Self::run`]'s.
     ///
     /// # Panics
     ///
@@ -419,9 +450,8 @@ impl Simulation {
 }
 
 /// The outcome of [`Simulation::run_checked`]: the ordinary report plus
-/// every invariant violation the checked engine observed (empty unless
-/// [`SimConfig::check_invariants`] was on and something is actually
-/// broken — the chaos fuzzer's oracle input).
+/// every invariant violation the engine observed (empty unless
+/// something is actually broken — the chaos fuzzer's oracle input).
 #[derive(Debug, Clone)]
 pub struct CheckedReport {
     /// The report, bit-identical to what [`Simulation::run`] returns.
@@ -501,6 +531,8 @@ struct Engine {
     stats: Option<StatsState>,
     /// Scheduled migrations resolved to dense ids.
     migrations: Vec<ResolvedMigration>,
+    /// See [`Simulation::full_rebuild_oracle`].
+    patch_routing: fn(&SimBuild, &[usize]) -> bool,
 }
 
 impl std::fmt::Debug for Engine {
@@ -522,6 +554,7 @@ impl Engine {
             faults,
             stats: sim_stats,
             migrations: sim_migrations,
+            patch_routing,
         } = sim;
 
         // Borrow the cost matrix; nothing here outlives this scope.
@@ -736,6 +769,7 @@ impl Engine {
             fault_schedule,
             stats,
             migrations,
+            patch_routing,
         }
     }
 
@@ -1325,8 +1359,7 @@ impl Engine {
     /// thrash follow the task, and so does every later transfer's link
     /// class, which reads the placement in `statics`. The routing table
     /// only changes when a moved task is in a local-or-shuffle group
-    /// (or [`SimConfig::incremental_routing`] is off): then it is
-    /// rebuilt.
+    /// (or on the full-rebuild oracle): then it is rebuilt.
     fn apply_migration(&mut self, m: usize) {
         let migration = std::mem::take(&mut self.migrations[m]);
         let now = self.queue.now();
@@ -1367,11 +1400,8 @@ impl Engine {
             self.refresh_thrash(dest);
             moved.push(task);
         }
-        if !moved.is_empty() {
-            let patched = self.config.incremental_routing && self.build.patch_routing(&moved);
-            if !patched {
-                self.build.rebuild_routing();
-            }
+        if !moved.is_empty() && !(self.patch_routing)(&self.build, &moved) {
+            self.build.rebuild_routing();
         }
     }
 
@@ -1505,50 +1535,30 @@ impl Engine {
         let mut violations = Vec::new();
         if self.replay_enabled {
             self.totals.roots_in_flight = self.live_logical;
-            if self.config.check_invariants {
-                // Checked mode: the same accounting identities the debug
-                // build asserts, evaluated in every profile and surfaced
-                // as typed violations instead of aborts.
-                let queued: u64 = self.tasks.iter().map(|t| t.replay_queue.len() as u64).sum();
-                let slab_live = self.roots.unfailed_live();
-                if self.live_logical != slab_live + queued {
-                    violations.push(InvariantViolation::LedgerMismatch {
-                        live_logical: self.live_logical,
-                        slab_live,
-                        replay_queued: queued,
-                    });
-                }
-                let settled = self
-                    .totals
-                    .roots_completed
-                    .checked_add(self.totals.roots_quarantined)
-                    .and_then(|s| s.checked_add(self.live_logical));
-                if settled != Some(self.totals.roots_emitted) {
-                    violations.push(InvariantViolation::DrainImbalance {
-                        emitted: self.totals.roots_emitted,
-                        completed: self.totals.roots_completed,
-                        quarantined: self.totals.roots_quarantined,
-                        in_flight: self.live_logical,
-                    });
-                }
-            } else if !self.config.planted_quarantine_bug {
-                #[cfg(debug_assertions)]
-                {
-                    let queued: u64 = self.tasks.iter().map(|t| t.replay_queue.len() as u64).sum();
-                    debug_assert_eq!(
-                        self.live_logical,
-                        self.roots.unfailed_live() + queued,
-                        "every un-settled logical root is exactly one live \
-                         attempt or one replay-buffer entry"
-                    );
-                    debug_assert_eq!(
-                        self.totals.roots_emitted,
-                        self.totals.roots_completed
-                            + self.totals.roots_quarantined
-                            + self.live_logical,
-                        "drain invariant: emitted == acked + quarantined + in_flight"
-                    );
-                }
+            // The accounting identities, evaluated in every profile and
+            // surfaced as typed violations; `Simulation::run` asserts them
+            // in debug builds.
+            let queued: u64 = self.tasks.iter().map(|t| t.replay_queue.len() as u64).sum();
+            let slab_live = self.roots.unfailed_live();
+            if self.live_logical != slab_live + queued {
+                violations.push(InvariantViolation::LedgerMismatch {
+                    live_logical: self.live_logical,
+                    slab_live,
+                    replay_queued: queued,
+                });
+            }
+            let settled = self
+                .totals
+                .roots_completed
+                .checked_add(self.totals.roots_quarantined)
+                .and_then(|s| s.checked_add(self.live_logical));
+            if settled != Some(self.totals.roots_emitted) {
+                violations.push(InvariantViolation::DrainImbalance {
+                    emitted: self.totals.roots_emitted,
+                    completed: self.totals.roots_completed,
+                    quarantined: self.totals.roots_quarantined,
+                    in_flight: self.live_logical,
+                });
             }
         }
         let elapsed = self.config.sim_time_ms;
@@ -1669,9 +1679,7 @@ impl Engine {
                 route_entries: self.build.routing.routes.len() as u64,
             },
         };
-        if self.config.check_invariants {
-            violations.extend(report.sanity_violations());
-        }
+        violations.extend(report.sanity_violations());
         (report, violations)
     }
 }
@@ -2561,9 +2569,9 @@ mod tests {
     #[test]
     fn incremental_routing_gate_is_bit_identical() {
         // The same migrated-and-crashed scenario, run once through the
-        // patch path and once through the legacy full rebuild: every
+        // patch path and once through the full-rebuild oracle: every
         // observable — including the event count — must match, which is
-        // what licenses the patch path as the default.
+        // what licenses the patch path as the only production path.
         let cluster = emulab(2, 3);
         let t = linear_topology("t", 2, ExecutionProfile::new(0.1, 1.0, 100), 20.0, 128.0);
         let a = assigned(&t, &cluster);
@@ -2593,18 +2601,17 @@ mod tests {
         let faults = FaultPlan::new()
             .crash_node(40_000.0, dest.as_str())
             .recover_node(50_000.0, dest.as_str());
-        let run = |incremental: bool| {
-            let mut sim = Simulation::new(
-                cluster.clone(),
-                SimConfig::quick().with_incremental_routing(incremental),
-            );
+        let run = |mut sim: Simulation| {
             sim.add_topology(&t, &a);
             sim.schedule_migration(&plan, 20_000.0, 500.0);
             sim.set_fault_plan(faults.clone());
             sim.run()
         };
-        let patched = run(true);
-        let rebuilt = run(false);
+        let patched = run(Simulation::new(cluster.clone(), SimConfig::quick()));
+        let rebuilt = run(Simulation::full_rebuild_oracle(
+            cluster.clone(),
+            SimConfig::quick(),
+        ));
         assert_eq!(patched, rebuilt, "the gate must not change any physics");
         assert_eq!(patched.debug.events, rebuilt.debug.events);
     }
@@ -2795,42 +2802,37 @@ mod tests {
     // ---- checked invariants (the fuzzer's oracle mode) -----------------
 
     /// The quarantine scenario of
-    /// `replay_budget_exhaustion_quarantines_poison_roots`, runnable with
-    /// invariant checking and/or the planted accounting bug.
-    fn quarantine_run(check: bool, planted: bool) -> CheckedReport {
+    /// `replay_budget_exhaustion_quarantines_poison_roots`, optionally
+    /// with the planted accounting bug.
+    fn quarantine_sim(planted: bool) -> Simulation {
         let cluster = emulab(1, 2);
         let t = linear_topology("t", 2, ExecutionProfile::new(0.1, 1.0, 100), 20.0, 128.0);
         let a = split_assignment(&t, &cluster, "c0");
         let victim = cluster.nodes()[1].id().as_str().to_owned();
         let mut config = SimConfig::quick()
             .with_max_replays(1)
-            .with_check_invariants(check)
             .with_planted_quarantine_bug(planted);
         config.tuple_timeout_ms = 5_000.0;
         let mut sim = Simulation::new(cluster.clone(), config);
         sim.add_topology(&t, &a);
         sim.set_fault_plan(FaultPlan::new().crash_node(10_000.0, &victim));
-        sim.run_checked()
+        sim
     }
 
     #[test]
     fn checked_run_is_clean_and_bit_identical() {
-        let unchecked = quarantine_run(false, false);
-        let checked = quarantine_run(true, false);
-        assert!(
-            unchecked.violations.is_empty(),
-            "checking off never collects"
-        );
+        let plain = quarantine_sim(false).run();
+        let checked = quarantine_sim(false).run_checked();
         assert!(
             checked.violations.is_empty(),
             "a correct engine has nothing to report: {:?}",
             checked.violations
         );
         assert_eq!(
-            unchecked.report, checked.report,
+            plain, checked.report,
             "checking only observes, never perturbs"
         );
-        assert_eq!(unchecked.report.to_json(), checked.report.to_json());
+        assert_eq!(plain.to_json(), checked.report.to_json());
         assert!(
             checked.report.totals.roots_quarantined > 0,
             "the scenario really exercises the quarantine path"
@@ -2839,7 +2841,7 @@ mod tests {
 
     #[test]
     fn planted_quarantine_bug_trips_the_drain_invariant() {
-        let broken = quarantine_run(true, true);
+        let broken = quarantine_sim(true).run_checked();
         assert!(
             broken
                 .violations
@@ -2878,7 +2880,7 @@ mod tests {
     fn network_gate_default_is_bit_identical_to_explicit_legacy() {
         // `network_model` defaults to Legacy; spelling it out must change
         // nothing, down to the engine's event count — the same license
-        // the replay and incremental-routing gates carry.
+        // the replay gate and the routing patch path carry.
         let cluster = emulab(2, 3);
         let t = linear_topology("t", 2, ExecutionProfile::network_bound(400), 15.0, 128.0);
         let a = spread_net_assignment(&t, &cluster);

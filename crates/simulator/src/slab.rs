@@ -120,10 +120,9 @@ impl RootSlab {
     }
 
     /// Number of live roots whose tuple timeout has not fired — the
-    /// attempts that can still ack. Used by the replay plane's drain
-    /// invariant: debug builds assert it, checked mode
-    /// (`SimConfig::check_invariants`) evaluates it in every profile.
-    /// O(slots), so it only runs on those paths.
+    /// attempts that can still ack. Used by the replay plane's live-root
+    /// ledger check, which every replay-enabled report evaluates.
+    /// O(slots), so it runs once per run, never per event.
     pub fn unfailed_live(&self) -> u64 {
         self.slots
             .iter()

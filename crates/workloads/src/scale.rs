@@ -10,8 +10,8 @@
 //! [`DeltaScheduler`] migrations through a run, to measure what a
 //! migration costs the engine. Routing rows name consumer tasks only,
 //! shared by every producer task of a component, so a migration moves
-//! placement and leaves the table alone
-//! (`SimConfig::incremental_routing`).
+//! placement and leaves the table alone (the engine's full-rebuild
+//! oracle, `Simulation::full_rebuild_oracle`, is the parity reference).
 //!
 //! The topology is a chain of roughly √tasks components of parallelism
 //! √tasks each: (producer, consumer) pairs grow as tasks^1.5 (≈ 1M for
@@ -122,9 +122,10 @@ pub fn scale_cluster(nodes: u32) -> Cluster {
 
 /// Schedules `topology` on `cluster` and plays `rounds` of synthetic
 /// drift through the [`DeltaScheduler`]: every round pretends all
-/// components under-declared CPU by [`CHURN_DRIFT_RATIO`] and marks one
-/// initially-used node (cycling in name order) saturated, so the delta
-/// scheduler sheds most of that node's tasks onto nodes with headroom.
+/// components under-declared CPU threefold (`CHURN_DRIFT_RATIO`) and
+/// marks one initially-used node (cycling in name order) saturated, so
+/// the delta scheduler sheds most of that node's tasks onto nodes with
+/// headroom.
 /// Plans compose — each round plans against the state the previous
 /// round committed — and empty rounds (a node already shed dry, or no
 /// target with headroom left) are dropped. Fully deterministic.
@@ -276,18 +277,20 @@ mod tests {
 
     /// The sweep-style determinism pin on the churn case: the whole
     /// scenario — plans included — replayed from scratch is
-    /// bit-identical, and the incremental-routing patch path produces
-    /// exactly the same run as a full rebuild per migration.
+    /// bit-identical, and the routing patch path produces exactly the
+    /// same run as the full-rebuild oracle.
     #[test]
     fn churn_case_is_deterministic_and_patch_parity_holds() {
-        let run = |incremental: bool| {
+        let run = |patched: bool| {
             let t = scale_topology(T);
             let c = scale_cluster(N);
             let (a, plans) = churn_plans(&t, &c, 10);
-            let config = SimConfig::default()
-                .with_sim_time_ms(HORIZON)
-                .with_incremental_routing(incremental);
-            let mut sim = Simulation::new(c, config);
+            let config = SimConfig::default().with_sim_time_ms(HORIZON);
+            let mut sim = if patched {
+                Simulation::new(c, config)
+            } else {
+                Simulation::full_rebuild_oracle(c, config)
+            };
             sim.add_topology(&t, &a);
             schedule_churn(&mut sim, &plans, HORIZON);
             sim.run()

@@ -180,8 +180,6 @@ fn scenario_fault_plan_is_stable() {
             .partition_rack(35_000.0, 45_000.0, rack)
             .lose_control_channel(48_000.0, 52_000.0),
     );
-    cfg.sim = SimConfig::quick()
-        .with_max_replays(8)
-        .with_check_invariants(true);
+    cfg.sim = SimConfig::quick().with_max_replays(8);
     check_golden("scenario_fault_plan.txt", &scenario_pin(&cfg));
 }

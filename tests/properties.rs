@@ -58,6 +58,47 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
     })
 }
 
+/// `arb_topology`'s DAG shape with every edge's grouping drawn from
+/// shuffle, fields, all, global and local-or-shuffle, so routing
+/// properties also reach the placement-dependent local-or-shuffle pools.
+fn arb_grouped_topology() -> impl Strategy<Value = Topology> {
+    let spec = (
+        1u32..=4,
+        1.0f64..80.0,
+        16.0f64..512.0,
+        proptest::collection::vec((0usize..8, 0u8..5), 1..3),
+    );
+    proptest::collection::vec(spec, 2..7).prop_map(|raw| {
+        let mut b = TopologyBuilder::new("prop");
+        for (i, (parallelism, cpu, mem, inputs)) in raw.into_iter().enumerate() {
+            if i == 0 {
+                b.set_spout("c0", parallelism)
+                    .set_cpu_load(cpu)
+                    .set_memory_load(mem);
+                continue;
+            }
+            let mut bolt = b.set_bolt(format!("c{i}"), parallelism);
+            let subscribed: std::collections::BTreeMap<usize, u8> = inputs
+                .into_iter()
+                .map(|(from, grouping)| (from % i, grouping))
+                .collect();
+            for (from, grouping) in subscribed {
+                let grouping = match grouping {
+                    0 => StreamGrouping::Shuffle,
+                    1 => StreamGrouping::fields(["key"]),
+                    2 => StreamGrouping::All,
+                    3 => StreamGrouping::Global,
+                    _ => StreamGrouping::LocalOrShuffle,
+                };
+                bolt.grouping(format!("c{from}"), grouping);
+            }
+            bolt.set_cpu_load(cpu).set_memory_load(mem);
+        }
+        b.build()
+            .expect("generated topologies are structurally valid")
+    })
+}
+
 fn arb_cluster() -> impl Strategy<Value = Cluster> {
     (
         1u32..=3,
@@ -764,14 +805,15 @@ proptest! {
         prop_assert_eq!(fast_report.to_json(), reference_report.to_json());
     }
 
-    /// The incremental-routing tentpole's correctness bar, as a property:
-    /// for arbitrary migration plans — empty, random scatters or a full
-    /// replacement of every task — a run that patches only the moved
-    /// routing rows is bit-identical to one that rebuilds the whole table
-    /// on every migration.
+    /// The routing patch path's correctness bar, as a property: for
+    /// arbitrary groupings and migration plans — empty, random scatters
+    /// or a full replacement of every task — the production engine,
+    /// which leaves routing alone unless a moved task sits in a
+    /// local-or-shuffle group, is bit-identical to the full-rebuild
+    /// oracle that rebuilds the whole table on every migration.
     #[test]
     fn incremental_routing_matches_full_rebuild(
-        topology in arb_topology(),
+        topology in arb_grouped_topology(),
         raw_moves in proptest::collection::vec((0usize..64, 0usize..64), 0..10),
         replace_all in 0usize..2,
         seed in 0u64..1000,
@@ -810,18 +852,17 @@ proptest! {
             &assignment,
             picked.iter().map(|&(ti, ni)| (tasks[ti], nodes[ni].as_str())),
         );
-        let run = |incremental: bool| {
-            let config = SimConfig::quick()
-                .with_sim_time_ms(8_000.0)
-                .with_seed(seed)
-                .with_incremental_routing(incremental);
-            let mut sim = Simulation::new(std::sync::Arc::clone(&cluster), config);
+        let config = SimConfig::quick().with_sim_time_ms(8_000.0).with_seed(seed);
+        let run = |mut sim: Simulation| {
             sim.add_topology(&topology, &assignment);
             sim.schedule_migration(&plan, 3_000.0, 500.0);
             sim.run()
         };
-        let patched = run(true);
-        let rebuilt = run(false);
+        let patched = run(Simulation::new(std::sync::Arc::clone(&cluster), config.clone()));
+        let rebuilt = run(Simulation::full_rebuild_oracle(
+            std::sync::Arc::clone(&cluster),
+            config,
+        ));
         prop_assert_eq!(&patched, &rebuilt);
         prop_assert_eq!(patched.debug.events, rebuilt.debug.events);
     }
